@@ -8,7 +8,7 @@ membership witnesses, and the rewriting of degree-zero mode words down to a
 single zero-mode.
 """
 
-from .combinatorics import Rational, binomial, format_rational, parse_rational
+from .combinatorics import binomial, format_rational, parse_rational
 from .modes import (
     FiltrationWitness,
     ReductionTrace,
@@ -66,7 +66,6 @@ from .zhu import an_dims
 __version__ = "0.1.0"
 
 __all__ = [
-    "Rational",
     "binomial",
     "parse_rational",
     "format_rational",

@@ -19,8 +19,9 @@ from .combinatorics import parse_rational
 from .modes import format_word, reduce_word
 from .parser import ParseError, parse_element, parse_uea
 from .report import ReportDocument, golden_compare
-from .suites import RunConfig, dims_suite, run_suite
+from .suites import RunConfig, appendix_suite, check_appendix_ranges, run_suite
 from .voa import builtin_presentation, format_element
+from .zhu import an_dims, build_zhu_context, c2_dims
 
 VOA_CHOICES = ("heisenberg", "virasoro")
 
@@ -132,28 +133,38 @@ def _presentation(args: argparse.Namespace):
     return builtin_presentation(args.voa, charge)
 
 
-def _finish_report(doc: ReportDocument, args: argparse.Namespace, started: float) -> int:
-    payload = doc.canonical_bytes()
+def _write_output(payload: bytes, args: argparse.Namespace) -> None:
     if args.out:
         Path(args.out).write_bytes(payload)
     else:
         sys.stdout.write(payload.decode())
+
+
+def _golden_code(payload: bytes, args: argparse.Namespace) -> int:
+    """0 without --golden or on a match, 1 on a mismatch, 2 if it is missing."""
+    if not args.golden:
+        return 0
+    try:
+        same, diff = golden_compare(payload, args.golden)
+    except FileNotFoundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if not same:
+        print(f"golden mismatch:\n{diff}", file=sys.stderr)
+        return 1
+    return 0
+
+
+def _finish_report(doc: ReportDocument, args: argparse.Namespace, started: float) -> int:
+    payload = doc.canonical_bytes()
+    _write_output(payload, args)
     summary = doc.summary()
     print(
         f"{summary['pass']} passed, {summary['fail']} failed, "
         f"{summary['skipped']} skipped in {time.time() - started:.1f}s",
         file=sys.stderr,
     )
-    if args.golden:
-        try:
-            same, diff = golden_compare(payload, args.golden)
-        except FileNotFoundError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if not same:
-            print(f"golden mismatch:\n{diff}", file=sys.stderr)
-            return 1
-    return 0 if doc.passed else 1
+    return _golden_code(payload, args) or (0 if doc.passed else 1)
 
 
 _RANGE_FLAGS = ("--s", "--t", "--N")
@@ -261,15 +272,28 @@ def main(argv: list[str] | None = None) -> int:
             )
         return 0
 
-    if args.command == "appendix":
-        from .suites import appendix_suite
+    # Every suite subcommand, including dims and appendix, is validated here
+    # so that a bad value is a usage error (exit 2), not a failed check.
+    try:
+        config = RunConfig(
+            voa=args.voa,
+            central_charge=parse_rational(args.central_charge),
+            level=args.level,
+            cutoff=args.cutoff,
+            suites=(args.command,),
+            seed=args.seed,
+        )
+        if args.command == "appendix":
+            ranges = _parse_range(args.s), _parse_range(args.t), _parse_range(args.N)
+            check_appendix_ranges(*ranges)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
-        presentation = _presentation(args)
+    if args.command == "appendix":
         doc = appendix_suite(
-            presentation,
-            s_range=_parse_range(args.s),
-            t_range=_parse_range(args.t),
-            depth_range=_parse_range(args.N),
+            config.presentation(),
+            *ranges,
             shift_bound=args.shift_bound,
             operator_samples=args.samples,
             seed=args.seed,
@@ -277,43 +301,16 @@ def main(argv: list[str] | None = None) -> int:
         return _finish_report(doc, args, started)
 
     if args.command == "dims":
-        presentation = _presentation(args)
-        from .suites import ContextCache
-
-        doc, tables = dims_suite(presentation, args.level, args.cutoff, ContextCache())
-        table = tables[args.kind]
-        csv_text = table.to_csv()
-        if args.out:
-            Path(args.out).write_text(csv_text)
+        if args.kind == "c2":
+            table = c2_dims(config.presentation(), config.cutoff)
         else:
-            sys.stdout.write(csv_text)
-        if args.golden:
-            try:
-                same, diff = golden_compare(csv_text, args.golden)
-            except FileNotFoundError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            if not same:
-                print(f"golden mismatch:\n{diff}", file=sys.stderr)
-                return 1
-        return 0
+            table = an_dims(config.presentation(), config.level, config.cutoff)
+        payload = table.to_csv().encode()
+        _write_output(payload, args)
+        return _golden_code(payload, args)
 
-    try:
-        config = RunConfig(
-            voa=args.voa,
-            central_charge=parse_rational(args.central_charge),
-            level=getattr(args, "level", 0),
-            cutoff=args.cutoff,
-            suites=(args.command,),
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     code, doc = run_suite(config)
     if args.command == "zhu" and getattr(args, "span_out", None):
-        from .zhu import build_zhu_context
-
         ctx = build_zhu_context(config.presentation(), config.level, config.cutoff)
         Path(args.span_out).write_text(
             json.dumps(ctx.spanning_dump(), indent=2, sort_keys=True) + "\n"

@@ -12,10 +12,6 @@ import math
 import re
 from fractions import Fraction
 
-#: Scalar type used everywhere. ``int`` values are acceptable wherever a
-#: Rational is expected; mixed arithmetic stays exact.
-Rational = Fraction
-
 
 def binomial(upper: int, lower: int) -> int:
     """Binomial coefficient with integer (possibly negative) upper argument.

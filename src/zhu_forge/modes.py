@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .combinatorics import binomial
+from .linalg import Combination, add_scaled
 from .report import CheckRecord, ReportDocument
 from .voa import (
     FockVector,
@@ -51,122 +52,51 @@ def format_word(word: Word) -> str:
     return "".join(f"J[{shift}]({format_monomial(mono)})" for mono, shift in word)
 
 
-_format_word = format_word
-
-
-class UEAExpression:
+class UEAExpression(Combination):
     """Sparse rational combination of words, vacuum modes pre-collapsed."""
 
-    __slots__ = ("presentation", "terms")
-
-    def __init__(self, presentation: Presentation, terms: dict[Word, Fraction] | None = None):
-        self.presentation = presentation
-        cleaned: dict[Word, Fraction] = {}
-        if terms:
-            for word, coeff in terms.items():
-                if coeff:
-                    cleaned[word] = Fraction(coeff)
-        self.terms = cleaned
-
-    @classmethod
-    def zero(cls, presentation: Presentation) -> "UEAExpression":
-        return cls(presentation, {})
+    __slots__ = ()
 
     @classmethod
     def scalar(cls, presentation: Presentation, value: Fraction | int) -> "UEAExpression":
-        return cls(presentation, {(): Fraction(value)})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UEAExpression):
-            return NotImplemented
-        return self.presentation == other.presentation and self.terms == other.terms
-
-    def __add__(self, other: "UEAExpression") -> "UEAExpression":
-        if self.presentation != other.presentation:
-            raise ValueError("expressions over different presentations")
-        out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            new = out.get(word, 0) + coeff
-            if new:
-                out[word] = new
-            else:
-                out.pop(word, None)
-        return UEAExpression(self.presentation, out)
-
-    def __sub__(self, other: "UEAExpression") -> "UEAExpression":
-        return self + (-other)
-
-    def __neg__(self) -> "UEAExpression":
-        return UEAExpression(self.presentation, {w: -c for w, c in self.terms.items()})
-
-    def __mul__(self, scalar: Fraction | int) -> "UEAExpression":
-        s = Fraction(scalar)
-        if not s:
-            return UEAExpression.zero(self.presentation)
-        return UEAExpression(self.presentation, {w: c * s for w, c in self.terms.items()})
-
-    __rmul__ = __mul__
+        return cls(presentation, {(): value})
 
     def concat(self, other: "UEAExpression") -> "UEAExpression":
         """Product in the enveloping algebra (word concatenation)."""
-        if self.presentation != other.presentation:
-            raise ValueError("expressions over different presentations")
+        self._check_same(other)
         out: dict[Word, Fraction] = {}
         for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                word = w1 + w2
-                new = out.get(word, 0) + c1 * c2
-                if new:
-                    out[word] = new
-                else:
-                    out.pop(word, None)
+            add_scaled(out, ((w1 + w2, c2) for w2, c2 in other.terms.items()), c1)
         return UEAExpression(self.presentation, out)
 
     def degrees(self) -> set[int]:
         return {word_degree(w) for w in self.terms}
 
-    def sorted_terms(self) -> list[tuple[Word, Fraction]]:
-        return sorted(self.terms.items())
-
     def __repr__(self) -> str:
         if not self.terms:
             return "UEAExpression(0)"
-        parts = [f"{c} * {_format_word(w)}" for w, c in self.sorted_terms()]
+        parts = [f"{c} * {format_word(w)}" for w, c in self.sorted_terms()]
         return "UEAExpression(" + " + ".join(parts) + ")"
 
 
-def _append_factor(
-    acc: dict[Word, Fraction], word: Word, coeff: Fraction, mono: Monomial, shift: int
-) -> None:
-    """Append ``J_shift(mono)`` to a word, collapsing vacuum modes."""
-    if not coeff:
-        return
-    if not mono:
+def _put_factor(acc: dict[Word, Fraction], mono: Monomial, shift: int, coeff: Fraction) -> None:
+    """Record ``coeff * J_shift(mono)``, collapsing vacuum modes.
+
+    Distinct monomials give distinct one-letter words, so callers that pass
+    each monomial once never need to add coefficients.
+    """
+    if mono:
+        acc[((mono, shift),)] = coeff
+    elif shift == 0:
         # J_k(vac) is the identity for k = 0 and zero otherwise.
-        if shift != 0:
-            return
-        new_word = word
-    else:
-        new_word = word + ((mono, shift),)
-    new = acc.get(new_word, 0) + coeff
-    if new:
-        acc[new_word] = new
-    else:
-        acc.pop(new_word, None)
+        acc[()] = coeff
 
 
 def mode_symbol(argument: FockVector, shift: int) -> UEAExpression:
     """The symbol ``J_shift(argument)``, linear in the argument."""
     acc: dict[Word, Fraction] = {}
     for mono, coeff in argument.terms.items():
-        _append_factor(acc, (), coeff, mono, shift)
+        _put_factor(acc, mono, shift, coeff)
     return UEAExpression(argument.presentation, acc)
 
 
@@ -178,8 +108,7 @@ def raw_mode(argument: FockVector, index: int) -> UEAExpression:
     """
     acc: dict[Word, Fraction] = {}
     for mono, coeff in argument.terms.items():
-        shift = index - monomial_weight(mono) + 1
-        _append_factor(acc, (), coeff, mono, shift)
+        _put_factor(acc, mono, index - monomial_weight(mono) + 1, coeff)
     return UEAExpression(argument.presentation, acc)
 
 
@@ -200,7 +129,7 @@ def vhat_bracket(u: FockVector, m: int, v: FockVector, n: int) -> UEAExpression:
     modes of ``u`` kill ``v``.
     """
     u._check_same(v)
-    out = UEAExpression.zero(u.presentation)
+    acc: dict[Word, Fraction] = {}
     for wu, upart in u.weight_decomposition().items():
         for wv, vpart in v.weight_decomposition().items():
             for i in range(wu + wv + 1):
@@ -211,8 +140,8 @@ def vhat_bracket(u: FockVector, m: int, v: FockVector, n: int) -> UEAExpression:
                     continue
                 inner = mode_action(upart, i, vpart)
                 if inner:
-                    out = out + c * raw_mode(inner, m + n - i)
-    return out
+                    add_scaled(acc, raw_mode(inner, m + n - i).terms.items(), c)
+    return UEAExpression(u.presentation, acc)
 
 
 def expand_iterate_side(
@@ -221,7 +150,7 @@ def expand_iterate_side(
     """Single-mode side of the Jacobi identity in shifted indices:
     ``sum_i C(m + wt(u) - 1, i) J_{m+n+ell}(u_{ell+i} v)``."""
     u._check_same(v)
-    out = UEAExpression.zero(u.presentation)
+    acc: dict[Word, Fraction] = {}
     shift = m + n + ell
     for wu, upart in u.weight_decomposition().items():
         for wv, vpart in v.weight_decomposition().items():
@@ -232,8 +161,8 @@ def expand_iterate_side(
                     continue
                 inner = mode_action(upart, ell + i, vpart)
                 if inner:
-                    out = out + c * mode_symbol(inner, shift)
-    return out
+                    add_scaled(acc, mode_symbol(inner, shift).terms.items(), c)
+    return UEAExpression(u.presentation, acc)
 
 
 def expand_product_side(
@@ -266,7 +195,7 @@ def expand_product_side(
         i_top = right_bound - min(m, n)
     else:
         i_top = ell
-    out = UEAExpression.zero(u.presentation)
+    acc: dict[Word, Fraction] = {}
     for i in range(i_top + 1):
         c = binomial(ell, i)
         if not c:
@@ -274,12 +203,12 @@ def expand_product_side(
         coeff = -c if i % 2 else c
         if ell >= 0 or n + i <= right_bound:
             first = mode_symbol(u, m + ell - i).concat(mode_symbol(v, n + i))
-            out = out + coeff * first
+            add_scaled(acc, first.terms.items(), coeff)
         flip = -coeff if ell % 2 == 0 else coeff
         if ell >= 0 or m + i <= right_bound:
             second = mode_symbol(v, n + ell - i).concat(mode_symbol(u, m + i))
-            out = out + flip * second
-    return out
+            add_scaled(acc, second.terms.items(), flip)
+    return UEAExpression(u.presentation, acc)
 
 
 def evaluate_expression(
@@ -295,7 +224,7 @@ def evaluate_expression(
     if cutoff is not None and x.max_weight() > cutoff:
         raise ValueError(f"input vector exceeds weight window {cutoff}")
     presentation = expression.presentation
-    total = FockVector.zero(presentation)
+    total: dict[Monomial, Fraction] = {}
     for word, coeff in expression.terms.items():
         current = x
         for mono, shift in reversed(word):
@@ -305,9 +234,8 @@ def evaluate_expression(
             )
             if current.is_zero:
                 break
-        if current:
-            total = total + coeff * current
-    return total
+        add_scaled(total, current.terms.items(), coeff)
+    return FockVector(presentation, total)
 
 
 # ---------------------------------------------------------------------------
@@ -338,39 +266,35 @@ def reordering_residual(
     u._check_same(v)
     presentation = u.presentation
 
-    def clip(expr: UEAExpression) -> UEAExpression:
-        kept = {
-            w: c
-            for w, c in expr.terms.items()
-            if all(-bound <= shift <= bound for _, shift in w)
-        }
-        return UEAExpression(presentation, kept)
-
     margin = 2 * bound + abs(s) + abs(t) + depth + 4
-    lhs = UEAExpression.zero(presentation)
+    # Accumulate lhs - rhs in one dict; clipping is a projection, so it can
+    # be applied to the difference.
+    acc: dict[Word, Fraction] = {}
     for j in range(depth + 1):
         c = binomial(-depth - s - 1, j)
-        lhs = lhs + c * expand_product_side(
-            u, v, depth + 1, t + j, -depth - s - 1 - j, right_bound=margin
-        )
+        side = expand_product_side(u, v, depth + 1, t + j, -depth - s - 1 - j, right_bound=margin)
+        add_scaled(acc, side.terms.items(), c)
 
-    rhs = word_expression(presentation, [(u, -s), (v, t)])
+    add_scaled(acc, word_expression(presentation, [(u, -s), (v, t)]).terms.items(), -1)
     for k in range(depth + 1, margin + 1):
         for j in range(depth + 1):
             c = binomial(depth + s + j, j) * binomial(depth + s + k, k - j)
             if j % 2:
                 c = -c
             if c:
-                rhs = rhs + c * word_expression(presentation, [(u, -k - s), (v, k + t)])
+                words = word_expression(presentation, [(u, -k - s), (v, k + t)])
+                add_scaled(acc, words.terms.items(), -c)
     sign = -1 if (depth + s + 1) % 2 else 1
     for j in range(depth + 1):
         for i in range(margin + 1):
             c = binomial(depth + s + j, j) * binomial(depth + s + j + i, i)
             if c:
-                rhs = rhs - sign * c * word_expression(
+                words = word_expression(
                     presentation, [(v, t - depth - s - 1 - i), (u, depth + 1 + i)]
                 )
-    return clip(lhs) - clip(rhs)
+                add_scaled(acc, words.terms.items(), sign * c)
+    kept = {w: c for w, c in acc.items() if all(-bound <= shift <= bound for _, shift in w)}
+    return UEAExpression(presentation, kept)
 
 
 def pair_expansion(
@@ -398,7 +322,7 @@ def pair_expansion(
         raise ValueError("hypothesis depth + s >= 0 violated")
     u._check_same(v)
     presentation = u.presentation
-    out = UEAExpression.zero(presentation)
+    acc: dict[Word, Fraction] = {}
     for wu, upart in u.weight_decomposition().items():
         for j in range(depth + 1):
             cj = binomial(-depth - s - 1, j)
@@ -408,9 +332,9 @@ def pair_expansion(
                     continue
                 inner = mode_action(upart, -depth - s - 1 - j + i, v)
                 if inner:
-                    out = out + (ci * cj) * mode_symbol(inner, t - s)
+                    add_scaled(acc, mode_symbol(inner, t - s).terms.items(), ci * cj)
     if right_bound is None:
-        return out
+        return UEAExpression(presentation, acc)
     for k in range(depth + 1, max(right_bound - t, depth) + 1):
         if k + t > right_bound:
             break
@@ -419,7 +343,8 @@ def pair_expansion(
             if j % 2:
                 c = -c
             if c:
-                out = out - c * word_expression(presentation, [(u, -k - s), (v, k + t)])
+                words = word_expression(presentation, [(u, -k - s), (v, k + t)])
+                add_scaled(acc, words.terms.items(), -c)
     sign = -1 if (depth + s + 1) % 2 else 1
     for i in range(max(right_bound - depth, 0) + 1):
         if depth + 1 + i > right_bound:
@@ -427,10 +352,11 @@ def pair_expansion(
         for j in range(depth + 1):
             c = binomial(depth + s + j, j) * binomial(depth + s + j + i, i)
             if c:
-                out = out + sign * c * word_expression(
+                words = word_expression(
                     presentation, [(v, t - depth - s - 1 - i), (u, depth + 1 + i)]
                 )
-    return out
+                add_scaled(acc, words.terms.items(), sign * c)
+    return UEAExpression(presentation, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +380,7 @@ class FiltrationWitness:
 
     def to_jsonable(self) -> dict:
         return {
-            "word": _format_word(self.word),
+            "word": format_word(self.word),
             "position": self.position,
             "suffix_degree": self.suffix_degree,
         }
@@ -479,24 +405,21 @@ def filtration_report(expression: UEAExpression, level: int) -> ReportDocument:
         raise ValueError("filtration levels are nonpositive")
     for word in expression.terms:
         if word_degree(word) != 0:
-            raise ValueError(f"expression is not degree zero: {_format_word(word)}")
+            raise ValueError(f"expression is not degree zero: {format_word(word)}")
     failures = []
     witnesses = []
     for word, _ in expression.sorted_terms():
         witness = find_witness(word, level)
         if witness is None:
-            failures.append({"word": _format_word(word)})
+            failures.append({"word": format_word(word)})
         else:
             witnesses.append(witness.to_jsonable())
-    doc = ReportDocument(config={"suite": "filtration_witness", "level": level})
-    doc.add(
-        CheckRecord(
-            name="suffix_witnesses",
-            params={"level": level, "words": len(expression.terms)},
-            status="pass" if not failures else "fail",
-            witness={"failures": failures} if failures else {"witnesses": witnesses},
-        )
+    record = CheckRecord.from_failures(
+        "suffix_witnesses", {"level": level, "words": len(expression.terms)}, failures
     )
+    record.witness = {"failures": failures} if failures else {"witnesses": witnesses}
+    doc = ReportDocument(config={"suite": "filtration_witness", "level": level})
+    doc.add(record)
     return doc
 
 
@@ -531,7 +454,7 @@ class ReductionStep:
 
     def to_jsonable(self) -> dict:
         return {
-            "word": _format_word(self.word),
+            "word": format_word(self.word),
             "position": self.position,
             "s": self.s,
             "t": self.t,
@@ -593,24 +516,20 @@ def reduce_word(
         # Input factors are kept raw (vacuum arguments included) so that the
         # pair rewrite itself produces the star product even against the
         # vacuum; symbols created during rewriting are still normalized.
+        # Every raw word has one letter per factor, so no two coincide.
         raw: dict[Word, Fraction] = {(): Fraction(1)}
         for argument, shift in factors:
             if argument.presentation != presentation:
                 raise ValueError("argument belongs to a different presentation")
-            grown: dict[Word, Fraction] = {}
-            for word, coeff in raw.items():
-                for mono, mono_coeff in argument.terms.items():
-                    key = word + ((mono, shift),)
-                    new = grown.get(key, 0) + coeff * mono_coeff
-                    if new:
-                        grown[key] = new
-                    else:
-                        grown.pop(key, None)
-            raw = grown
+            raw = {
+                word + ((mono, shift),): coeff * c
+                for word, coeff in raw.items()
+                for mono, c in argument.terms.items()
+            }
         expression = UEAExpression(presentation, raw)
     for word in expression.terms:
         if word_degree(word) != 0:
-            raise ValueError(f"word is not degree zero: {_format_word(word)}")
+            raise ValueError(f"word is not degree zero: {format_word(word)}")
 
     trace = ReductionTrace(mod_level=mod_level, variant=variant)
     current = expression
@@ -637,15 +556,7 @@ def reduce_word(
             b = FockVector.from_monomial(presentation, mono_b)
             head = pair_expansion(s, t, depth, a, b, right_bound=None)
             prefix, suffix = word[:position], word[position + 2 :]
-            produced = 0
-            for head_word, head_coeff in head.terms.items():
-                new_word = prefix + head_word + suffix
-                new = acc.get(new_word, 0) + coeff * head_coeff
-                produced += 1
-                if new:
-                    acc[new_word] = new
-                else:
-                    acc.pop(new_word, None)
+            add_scaled(acc, ((prefix + w + suffix, c) for w, c in head.terms.items()), coeff)
             trace.steps.append(
                 ReductionStep(
                     word=word,
@@ -653,7 +564,7 @@ def reduce_word(
                     s=s,
                     t=t,
                     depth=depth,
-                    produced_words=produced,
+                    produced_words=len(head.terms),
                     discarded=(
                         DiscardRecord("right_tail", position, depth + 1 + t),
                         DiscardRecord("reordered_tail", position, depth + 1),
@@ -662,18 +573,17 @@ def reduce_word(
             )
         current = UEAExpression(presentation, acc)
 
-    result = FockVector.zero(presentation)
+    result: dict[Monomial, Fraction] = {}
     for word, coeff in current.terms.items():
-        if not word:
-            result = result + coeff * FockVector.vacuum(presentation)
-        else:
+        mono = ()
+        if word:
             mono, shift = word[0]
             if shift != 0:
                 raise AssertionError(
                     "degree bookkeeping violated: singleton with nonzero shift"
                 )
-            result = result + coeff * FockVector.from_monomial(presentation, mono)
-    return result, trace
+        add_scaled(result, ((mono, coeff),))
+    return FockVector(presentation, result), trace
 
 
 def replay_trace(
@@ -761,17 +671,8 @@ def homomorphism_check(
             "weight_bound": weight_bound,
         }
     )
-    for name, failures in [
-        ("reduction_matches_star_product", failures_product),
-        ("commutator_modulo_ideal", failures_commutator),
-        ("action_on_kernel_subspace", failures_semantic),
-    ]:
-        doc.add(
-            CheckRecord(
-                name=name,
-                params={"level": level, "weight_bound": weight_bound},
-                status="pass" if not failures else "fail",
-                witness=failures[0] if failures else None,
-            )
-        )
+    params = {"level": level, "weight_bound": weight_bound}
+    doc.add(CheckRecord.from_failures("reduction_matches_star_product", params, failures_product))
+    doc.add(CheckRecord.from_failures("commutator_modulo_ideal", params, failures_commutator))
+    doc.add(CheckRecord.from_failures("action_on_kernel_subspace", params, failures_semantic))
     return doc

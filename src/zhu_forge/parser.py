@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .linalg import add_scaled
 from .modes import UEAExpression, word_expression
 from .voa import FockVector, Presentation, apply_generator_mode
 
@@ -146,6 +147,26 @@ def _parse_term(cursor: _Cursor, presentation: Presentation) -> FockVector:
     return vector
 
 
+def _parse_sum(text: str, presentation: Presentation, parse_term, cls, what: str):
+    """``['-'] term (('+'|'-') term)*``, summed into one ``cls`` instance."""
+    cursor = _Cursor(text)
+    if cursor.peek()[0] == "end":
+        raise ParseError(f"empty {what}", cursor.peek()[2])
+    sign = 1
+    if cursor.peek()[0] == "minus":
+        cursor.advance()
+        sign = -1
+    total: dict = {}
+    while True:
+        add_scaled(total, parse_term(cursor, presentation).terms.items(), sign)
+        kind, _, pos = cursor.advance()
+        if kind == "end":
+            return cls(presentation, total)
+        if kind not in ("plus", "minus"):
+            raise ParseError("expected '+' or '-'", pos)
+        sign = 1 if kind == "plus" else -1
+
+
 def parse_element(text: str, presentation: Presentation) -> FockVector:
     """Parse an element literal into a canonical vector.
 
@@ -153,27 +174,7 @@ def parse_element(text: str, presentation: Presentation) -> FockVector:
     >>> parse_element("1/2 a[-1]a[-1]vac", P) == P.conformal_vector()
     True
     """
-    cursor = _Cursor(text)
-    if cursor.peek()[0] == "end":
-        raise ParseError("empty element", cursor.peek()[2])
-    negate = False
-    if cursor.peek()[0] == "minus":
-        cursor.advance()
-        negate = True
-    total = _parse_term(cursor, presentation)
-    if negate:
-        total = -total
-    while cursor.peek()[0] != "end":
-        kind, _, pos = cursor.peek()
-        if kind == "plus":
-            cursor.advance()
-            total = total + _parse_term(cursor, presentation)
-        elif kind == "minus":
-            cursor.advance()
-            total = total - _parse_term(cursor, presentation)
-        else:
-            raise ParseError("expected '+' or '-'", pos)
-    return total
+    return _parse_sum(text, presentation, _parse_term, FockVector, "element")
 
 
 def _parse_uterm(cursor: _Cursor, presentation: Presentation) -> UEAExpression:
@@ -223,24 +224,4 @@ def _parse_uterm(cursor: _Cursor, presentation: Presentation) -> UEAExpression:
 
 def parse_uea(text: str, presentation: Presentation) -> UEAExpression:
     """Parse a mode-expression literal, vacuum modes collapsed."""
-    cursor = _Cursor(text)
-    if cursor.peek()[0] == "end":
-        raise ParseError("empty expression", cursor.peek()[2])
-    negate = False
-    if cursor.peek()[0] == "minus":
-        cursor.advance()
-        negate = True
-    total = _parse_uterm(cursor, presentation)
-    if negate:
-        total = -total
-    while cursor.peek()[0] != "end":
-        kind, _, pos = cursor.peek()
-        if kind == "plus":
-            cursor.advance()
-            total = total + _parse_uterm(cursor, presentation)
-        elif kind == "minus":
-            cursor.advance()
-            total = total - _parse_uterm(cursor, presentation)
-        else:
-            raise ParseError("expected '+' or '-'", pos)
-    return total
+    return _parse_sum(text, presentation, _parse_uterm, UEAExpression, "expression")

@@ -46,6 +46,13 @@ class CheckRecord:
     witness: Any = None
     wall_ms: float | None = None
 
+    @classmethod
+    def from_failures(cls, name: str, params: dict[str, Any], failures: list) -> "CheckRecord":
+        """A passing record, or a failing one witnessed by its first failure."""
+        if failures:
+            return cls(name=name, params=params, status="fail", witness=failures[0])
+        return cls(name=name, params=params)
+
     def to_jsonable(self, canonical: bool = True) -> dict[str, Any]:
         out: dict[str, Any] = {
             "name": self.name,
@@ -118,9 +125,6 @@ class DimensionTable:
 
     def to_jsonable(self) -> dict[str, Any]:
         return {"kind": self.kind, "rows": [[idx, dim] for idx, dim in self.rows]}
-
-    def write_csv(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_csv())
 
 
 def golden_compare(actual: bytes | str, golden_path: str | Path) -> tuple[bool, str]:

@@ -110,14 +110,7 @@ def zhu_structure_suite(
         params = {"level": level, "cutoff": cutoff}
         if extra:
             params.update(extra)
-        doc.add(
-            CheckRecord(
-                name=name,
-                params=params,
-                status="pass" if not failures else "fail",
-                witness=failures[0] if failures else None,
-            )
-        )
+        doc.add(CheckRecord.from_failures(name, params, failures))
 
     failures = []
     checked = 0
@@ -196,6 +189,21 @@ def zhu_structure_suite(
     return doc
 
 
+def check_appendix_ranges(
+    s_range: tuple[int, int], t_range: tuple[int, int], depth_range: tuple[int, int]
+) -> None:
+    """Raise ``ValueError`` unless every range is nonempty and some ``s`` and
+    depth in them satisfy ``depth + s >= 0``, so that sampling can succeed."""
+    for label, (lo, hi) in (("s", s_range), ("t", t_range), ("N", depth_range)):
+        if lo > hi:
+            raise ValueError(f"empty {label} range {lo}..{hi}")
+    if s_range[1] + depth_range[1] < 0:
+        raise ValueError(
+            f"no depth N in {depth_range[0]}..{depth_range[1]} satisfies N + s >= 0 "
+            f"for s in {s_range[0]}..{s_range[1]}"
+        )
+
+
 def appendix_suite(
     presentation: Presentation,
     s_range: tuple[int, int] = (-2, 2),
@@ -209,8 +217,11 @@ def appendix_suite(
 
     The residual is compared per-word over the full (s, t, depth) grid with
     both word shifts bounded; the rewrite of a mode pair is then checked as
-    an operator identity on sampled tuples against direct evaluation.
+    an operator identity on sampled tuples against direct evaluation. Each
+    sample draws ``s`` from ``[max(s_lo, -N_hi), s_hi]`` so that a depth with
+    ``N + s >= 0`` exists; see :func:`check_appendix_ranges`.
     """
+    check_appendix_ranges(s_range, t_range, depth_range)
     doc = ReportDocument(
         config={
             "suite": "appendix",
@@ -239,11 +250,8 @@ def appendix_suite(
                 if residual:
                     failures.append({"s": s, "t": t, "N": depth, "words": len(residual.terms)})
     doc.add(
-        CheckRecord(
-            name="reordering_residual_grid",
-            params={"tuples": grid, "shift_bound": shift_bound},
-            status="pass" if not failures else "fail",
-            witness=failures[0] if failures else None,
+        CheckRecord.from_failures(
+            "reordering_residual_grid", {"tuples": grid, "shift_bound": shift_bound}, failures
         )
     )
 
@@ -252,7 +260,7 @@ def appendix_suite(
     targets = basis_vectors(presentation, 6)
     failures = []
     for _ in range(operator_samples):
-        s = rng.randint(s_range[0], s_range[1])
+        s = rng.randint(max(s_range[0], -depth_range[1]), s_range[1])
         t = rng.randint(t_range[0], t_range[1])
         depth = rng.randint(max(depth_range[0], -s), depth_range[1])
         a = pool[rng.randrange(len(pool))]
@@ -274,11 +282,8 @@ def appendix_suite(
                 }
             )
     doc.add(
-        CheckRecord(
-            name="pair_rewrite_operator_identity",
-            params={"samples": operator_samples, "seed": seed},
-            status="pass" if not failures else "fail",
-            witness=failures[0] if failures else None,
+        CheckRecord.from_failures(
+            "pair_rewrite_operator_identity", {"samples": operator_samples, "seed": seed}, failures
         )
     )
     return doc
@@ -313,14 +318,8 @@ def deep_tail_witness_suite(
                 report = filtration_report(expansion, -(level + 1))
                 if not report.passed:
                     failures.append({"u": format_element(u), "v": format_element(v)})
-        doc.add(
-            CheckRecord(
-                name="circle_expansion_witnessed",
-                params={"level": level, "weight_bound": weight_bound},
-                status="pass" if not failures else "fail",
-                witness=failures[0] if failures else None,
-            )
-        )
+        params = {"level": level, "weight_bound": weight_bound}
+        doc.add(CheckRecord.from_failures("circle_expansion_witnessed", params, failures))
     return doc
 
 

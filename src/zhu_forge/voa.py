@@ -30,6 +30,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .combinatorics import binomial
+from .linalg import Combination, add_scaled
 
 # A basis monomial: ((mode, generator), ...) sorted ascending, acting on the
 # vacuum. The empty tuple is the vacuum itself. Tuple comparison is the
@@ -108,6 +109,11 @@ def monomial_weight(mono: Monomial) -> int:
     return -sum(m for m, _ in mono)
 
 
+def monomial_order(mono: Monomial) -> tuple:
+    """Canonical order on monomials: by weight, then as tuples."""
+    return (monomial_weight(mono), mono)
+
+
 def builtin_presentation(name: str, central_charge: Fraction | int | None = None) -> Presentation:
     """Construct one of the built-in examples.
 
@@ -155,80 +161,22 @@ def builtin_presentation(name: str, central_charge: Fraction | int | None = None
     raise ValueError(f"unknown presentation {name!r}")
 
 
-class FockVector:
+class FockVector(Combination):
     """Sparse exact vector in the vacuum module of a presentation."""
 
-    __slots__ = ("presentation", "terms")
+    __slots__ = ()
 
-    def __init__(self, presentation: Presentation, terms: dict[Monomial, Fraction] | None = None):
-        self.presentation = presentation
-        cleaned: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if coeff:
-                    cleaned[mono] = Fraction(coeff)
-        self.terms = cleaned
+    sort_key = staticmethod(monomial_order)
 
     @classmethod
     def vacuum(cls, presentation: Presentation) -> "FockVector":
         return cls(presentation, {(): Fraction(1)})
 
     @classmethod
-    def zero(cls, presentation: Presentation) -> "FockVector":
-        return cls(presentation, {})
-
-    @classmethod
     def from_monomial(
         cls, presentation: Presentation, mono: Monomial, coeff: Fraction | int = 1
     ) -> "FockVector":
-        return cls(presentation, {mono: Fraction(coeff)})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FockVector):
-            return NotImplemented
-        return self.presentation == other.presentation and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.presentation.name, tuple(sorted(self.terms.items()))))
-
-    def __add__(self, other: "FockVector") -> "FockVector":
-        self._check_same(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            new = out.get(mono, 0) + coeff
-            if new:
-                out[mono] = new
-            else:
-                out.pop(mono, None)
-        return FockVector(self.presentation, out)
-
-    def __sub__(self, other: "FockVector") -> "FockVector":
-        return self + (-other)
-
-    def __neg__(self) -> "FockVector":
-        return FockVector(self.presentation, {m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, scalar: Fraction | int) -> "FockVector":
-        s = Fraction(scalar)
-        if not s:
-            return FockVector.zero(self.presentation)
-        return FockVector(self.presentation, {m: c * s for m, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def _check_same(self, other: "FockVector") -> None:
-        if self.presentation != other.presentation:
-            raise ValueError("vectors live over different presentations")
-
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: (monomial_weight(kv[0]), kv[0]))
+        return cls(presentation, {mono: coeff})
 
     def weight_decomposition(self) -> dict[int, "FockVector"]:
         """Split into homogeneous components, keyed by conformal weight."""
@@ -327,14 +275,6 @@ def _freeze(acc: dict[Monomial, Fraction]) -> Combo:
     return tuple((m, c) for m, c in sorted(acc.items()) if c)
 
 
-def _bump(acc: dict[Monomial, Fraction], mono: Monomial, coeff: Fraction) -> None:
-    new = acc.get(mono, 0) + coeff
-    if new:
-        acc[mono] = new
-    else:
-        acc.pop(mono, None)
-
-
 @lru_cache(maxsize=None)
 def _apply_mono(presentation: Presentation, gen: str, m: int, mono: Monomial) -> Combo:
     """Normal order ``g(m)`` applied to a canonical monomial.
@@ -355,8 +295,7 @@ def _apply_mono(presentation: Presentation, gen: str, m: int, mono: Monomial) ->
     tail = mono[1:]
     acc: dict[Monomial, Fraction] = {}
     for mono2, c2 in _apply_mono(presentation, gen, m, tail):
-        for mono3, c3 in _apply_mono(presentation, head_g, head_m, mono2):
-            _bump(acc, mono3, c2 * c3)
+        add_scaled(acc, _apply_mono(presentation, head_g, head_m, mono2), c2)
     for term in presentation.bracket_terms(gen, head_g):
         coeff = _eval_poly(term.poly, m, head_m)
         if not coeff:
@@ -365,11 +304,9 @@ def _apply_mono(presentation: Presentation, gen: str, m: int, mono: Monomial) ->
             if m + head_m == term.kronecker:
                 if term.uses_charge:
                     coeff *= presentation.central_charge
-                if coeff:
-                    _bump(acc, tail, coeff)
+                add_scaled(acc, ((tail, coeff),))
         else:
-            for mono2, c2 in _apply_mono(presentation, term.target, m + head_m, tail):
-                _bump(acc, mono2, coeff * c2)
+            add_scaled(acc, _apply_mono(presentation, term.target, m + head_m, tail), coeff)
     return _freeze(acc)
 
 
@@ -408,14 +345,12 @@ def _mode_mono(presentation: Presentation, umono: Monomial, n: int, vmono: Monom
         if i <= first_top:
             # g(head)_{ell-i} ( rest_{n+i} v ): stored index head_m - i.
             for mono2, c2 in _mode_mono(presentation, rest, n + i, vmono):
-                for mono3, c3 in _apply_mono(presentation, head_g, head_m - i, mono2):
-                    _bump(acc, mono3, coeff * c2 * c3)
+                add_scaled(acc, _apply_mono(presentation, head_g, head_m - i, mono2), coeff * c2)
         if i <= second_top:
             # -(-1)^ell rest_{ell+n-i} ( g_i v ): stored index i - weight + 1.
             sign2 = -coeff if ell % 2 == 0 else coeff
             for mono2, c2 in _apply_mono(presentation, head_g, i - gen_weight + 1, vmono):
-                for mono3, c3 in _mode_mono(presentation, rest, ell + n - i, mono2):
-                    _bump(acc, mono3, sign2 * c2 * c3)
+                add_scaled(acc, _mode_mono(presentation, rest, ell + n - i, mono2), sign2 * c2)
     return _freeze(acc)
 
 
@@ -428,8 +363,7 @@ def apply_generator_mode(
     _ensure_recursion_headroom()
     acc: dict[Monomial, Fraction] = {}
     for mono, coeff in x.terms.items():
-        for mono2, c2 in _apply_mono(presentation, gen, m, mono):
-            _bump(acc, mono2, coeff * c2)
+        add_scaled(acc, _apply_mono(presentation, gen, m, mono), coeff)
     return FockVector(presentation, acc)
 
 
@@ -446,8 +380,7 @@ def mode_action(u: FockVector, n: int, v: FockVector) -> FockVector:
     acc: dict[Monomial, Fraction] = {}
     for umono, ucoeff in u.terms.items():
         for vmono, vcoeff in v.terms.items():
-            for mono, coeff in _mode_mono(presentation, umono, n, vmono):
-                _bump(acc, mono, ucoeff * vcoeff * coeff)
+            add_scaled(acc, _mode_mono(presentation, umono, n, vmono), ucoeff * vcoeff)
     return FockVector(presentation, acc)
 
 
@@ -549,7 +482,7 @@ def _jacobi_instance(
 ) -> tuple[FockVector, FockVector]:
     """Both sides of the Jacobi identity applied to ``x``; finite sums."""
     wu, wv, wx = u.max_weight(), v.max_weight(), x.max_weight()
-    lhs = FockVector.zero(presentation)
+    lhs: dict[Monomial, Fraction] = {}
     i = 0
     while True:
         c = binomial(ell, i)
@@ -562,12 +495,14 @@ def _jacobi_instance(
         if c:
             sign = -1 if i % 2 else 1
             if first_alive:
-                lhs = lhs + sign * c * mode_action(u, m + ell - i, mode_action(v, n + i, x))
+                term = mode_action(u, m + ell - i, mode_action(v, n + i, x))
+                add_scaled(lhs, term.terms.items(), sign * c)
             if second_alive:
                 flip = -1 if ell % 2 == 0 else 1
-                lhs = lhs + sign * c * flip * mode_action(v, n + ell - i, mode_action(u, m + i, x))
+                term = mode_action(v, n + ell - i, mode_action(u, m + i, x))
+                add_scaled(lhs, term.terms.items(), sign * c * flip)
         i += 1
-    rhs = FockVector.zero(presentation)
+    rhs: dict[Monomial, Fraction] = {}
     for i in range(max(wu + wv - ell, 0) + 1):
         c = binomial(m, i)
         if not c:
@@ -575,8 +510,8 @@ def _jacobi_instance(
         uv = mode_action(u, ell + i, v)
         if uv.is_zero:
             continue
-        rhs = rhs + c * mode_action(uv, m + n - i, x)
-    return lhs, rhs
+        add_scaled(rhs, mode_action(uv, m + n - i, x).terms.items(), c)
+    return FockVector(presentation, lhs), FockVector(presentation, rhs)
 
 
 def axiom_suite(presentation: Presentation, max_weight: int, plan: SamplingPlan | None = None):
@@ -594,14 +529,7 @@ def axiom_suite(presentation: Presentation, max_weight: int, plan: SamplingPlan 
     checks: list[CheckRecord] = []
 
     def record(name: str, params: dict, failures: list) -> None:
-        checks.append(
-            CheckRecord(
-                name=name,
-                params=params,
-                status="pass" if not failures else "fail",
-                witness=None if not failures else failures[0],
-            )
-        )
+        checks.append(CheckRecord.from_failures(name, params, failures))
 
     failures = []
     for name, ok, witness in presentation_checks(presentation):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorics import binomial
-from .linalg import reduce_vector, rref
+from .linalg import add_scaled, kernel_basis, reduce_vector, rref
 from .report import CheckRecord, DimensionTable, ReportDocument
 from .voa import (
     FockVector,
@@ -32,6 +32,7 @@ from .voa import (
     format_element,
     format_monomial,
     mode_action,
+    monomial_order,
     monomial_weight,
 )
 
@@ -40,23 +41,19 @@ class WeightOverflowError(ValueError):
     """A product or reduction left the configured weight window."""
 
 
-def _monomial_order(mono: Monomial) -> tuple:
-    return (monomial_weight(mono), mono)
-
-
 def circle_product(u: FockVector, v: FockVector, level: int) -> FockVector:
     """The level-``level`` circle product, bilinear, exact."""
     if level < 0:
         raise ValueError("level must be nonnegative")
     u._check_same(v)
-    out = FockVector.zero(u.presentation)
+    acc: dict[Monomial, Fraction] = {}
     for wu, upart in u.weight_decomposition().items():
         top = wu + level
         for i in range(top + 1):
             c = binomial(top, i)
             if c:
-                out = out + c * mode_action(upart, i - 2 * level - 2, v)
-    return out
+                add_scaled(acc, mode_action(upart, i - 2 * level - 2, v).terms.items(), c)
+    return FockVector(u.presentation, acc)
 
 
 def star_product(u: FockVector, v: FockVector, level: int) -> FockVector:
@@ -64,7 +61,7 @@ def star_product(u: FockVector, v: FockVector, level: int) -> FockVector:
     if level < 0:
         raise ValueError("level must be nonnegative")
     u._check_same(v)
-    out = FockVector.zero(u.presentation)
+    acc: dict[Monomial, Fraction] = {}
     for wu, upart in u.weight_decomposition().items():
         for m in range(level + 1):
             outer = binomial(m + level, level)
@@ -74,35 +71,32 @@ def star_product(u: FockVector, v: FockVector, level: int) -> FockVector:
                 c = binomial(wu + level, i)
                 if c:
                     term = mode_action(upart, i - m - level - 1, v)
-                    if term:
-                        out = out + (outer * c) * term
-    return out
+                    add_scaled(acc, term.terms.items(), outer * c)
+    return FockVector(u.presentation, acc)
 
 
 def basic_circle_product(u: FockVector, v: FockVector) -> FockVector:
     """The classical circle product, written from its own defining sum."""
     u._check_same(v)
-    out = FockVector.zero(u.presentation)
+    acc: dict[Monomial, Fraction] = {}
     for wu, upart in u.weight_decomposition().items():
         for i in range(wu + 1):
             c = binomial(wu, i)
             if c:
-                out = out + c * mode_action(upart, i - 2, v)
-    return out
+                add_scaled(acc, mode_action(upart, i - 2, v).terms.items(), c)
+    return FockVector(u.presentation, acc)
 
 
 def basic_star_product(u: FockVector, v: FockVector) -> FockVector:
     """The classical star product, written from its own defining sum."""
     u._check_same(v)
-    out = FockVector.zero(u.presentation)
+    acc: dict[Monomial, Fraction] = {}
     for wu, upart in u.weight_decomposition().items():
         for i in range(wu + 1):
             c = binomial(wu, i)
             if c:
-                term = mode_action(upart, i - 1, v)
-                if term:
-                    out = out + c * term
-    return out
+                add_scaled(acc, mode_action(upart, i - 1, v).terms.items(), c)
+    return FockVector(u.presentation, acc)
 
 
 def translation_row(presentation: Presentation, u: FockVector) -> FockVector:
@@ -142,7 +136,7 @@ class ZhuContext:
             x.terms,
             [row.terms for row in self.rows],
             self.pivots,
-            order=_monomial_order,
+            order=monomial_order,
         )
         return FockVector(self.presentation, reduced)
 
@@ -155,10 +149,9 @@ class ZhuContext:
     def dimension_table(self) -> DimensionTable:
         """Non-pivot monomial counts per weight: an upper bound on the graded
         dimensions of the weight filtration of the quotient."""
-        counts: dict[int, int] = {}
-        for w, monos in enumerate_basis(self.presentation, self.cutoff):
-            counts[w] = sum(1 for m in monos if m not in self.pivots)
-        return DimensionTable(kind=f"quotient_level_{self.level}", rows=sorted(counts.items()))
+        return _free_monomials(
+            self.presentation, self.cutoff, self.pivots, f"quotient_level_{self.level}"
+        )
 
     def spanning_dump(self) -> dict:
         """JSON-ready matrix dump of the reduced span, for external checks."""
@@ -171,6 +164,17 @@ class ZhuContext:
                 for row in self.rows
             ],
         }
+
+
+def _free_monomials(
+    presentation: Presentation, cutoff: int, pivots: dict, kind: str
+) -> DimensionTable:
+    """Per-weight counts of the basis monomials that are not pivots."""
+    rows = [
+        (w, sum(1 for m in monos if m not in pivots))
+        for w, monos in enumerate_basis(presentation, cutoff)
+    ]
+    return DimensionTable(kind=kind, rows=rows)
 
 
 def spanning_vectors(presentation: Presentation, level: int, cutoff: int) -> list[FockVector]:
@@ -203,7 +207,7 @@ def build_zhu_context(presentation: Presentation, level: int, cutoff: int) -> Zh
     if level < 0 or cutoff < 0:
         raise ValueError("level and cutoff must be nonnegative")
     raw = spanning_vectors(presentation, level, cutoff)
-    rows, pivots = rref((vec.terms for vec in raw), order=_monomial_order)
+    rows, pivots = rref((vec.terms for vec in raw), order=monomial_order)
     if () in pivots:
         raise RuntimeError(
             "the vacuum acquired a pivot: the truncated ideal contains the "
@@ -227,11 +231,8 @@ def c2_dims(presentation: Presentation, cutoff: int) -> DimensionTable:
                 prod = mode_action(u, -2, v)
                 if prod:
                     vectors.append(prod.terms)
-    _, pivots = rref(vectors, order=_monomial_order)
-    counts: dict[int, int] = {}
-    for w, monos in enumerate_basis(presentation, cutoff):
-        counts[w] = sum(1 for m in monos if m not in pivots)
-    return DimensionTable(kind="c2_quotient", rows=sorted(counts.items()))
+    _, pivots = rref(vectors, order=monomial_order)
+    return _free_monomials(presentation, cutoff, pivots, "c2_quotient")
 
 
 def inverse_system_check(presentation: Presentation, level: int, cutoff: int) -> ReportDocument:
@@ -260,14 +261,8 @@ def inverse_system_check(presentation: Presentation, level: int, cutoff: int) ->
             "cutoff": cutoff,
         }
     )
-    doc.add(
-        CheckRecord(
-            name="ideal_containment",
-            params={"level": level, "cutoff": cutoff},
-            status="pass" if not failures else "fail",
-            witness=failures[0] if failures else None,
-        )
-    )
+    params = {"level": level, "cutoff": cutoff}
+    doc.add(CheckRecord.from_failures("ideal_containment", params, failures))
     return doc
 
 
@@ -303,31 +298,25 @@ def omega_subspace(
                     by_output.setdefault(out_idx, {})[col] = coeff
             constraints.extend(by_output.values())
 
-    from .linalg import kernel_basis
-
     kernel = kernel_basis(constraints, len(flat_monos))
     vectors = [
         FockVector(presentation, {flat_monos[i]: c for i, c in vec.items()})
         for vec in kernel
     ]
-    vectors.sort(key=lambda v: min(_monomial_order(m) for m in v.terms))
+    vectors.sort(key=lambda v: min(monomial_order(m) for m in v.terms))
 
-    # The kernel must be preserved by every zero-shift mode o(v) = v_{wt(v)-1}.
-    kernel_rows, kernel_pivots = rref((v.terms for v in vectors), order=_monomial_order)
-    preserved = True
-    preserve_witness = None
+    # The kernel must be preserved by every zero-shift mode o(v) = v_{wt(v)-1};
+    # the first vector that leaves it is the witness.
+    kernel_rows, kernel_pivots = rref((v.terms for v in vectors), order=monomial_order)
+    failures = []
     for v in states:
         n = v.max_weight() - 1
         for x in vectors:
             image = mode_action(v, n, x)
-            residue = reduce_vector(
-                image.terms, kernel_rows, kernel_pivots, _monomial_order
-            )
-            if residue:
-                preserved = False
-                preserve_witness = {"v": format_element(v), "x": format_element(x)}
+            if reduce_vector(image.terms, kernel_rows, kernel_pivots, monomial_order):
+                failures.append({"v": format_element(v), "x": format_element(x)})
                 break
-        if not preserved:
+        if failures:
             break
 
     expected_monos = {
@@ -360,11 +349,8 @@ def omega_subspace(
         )
     )
     doc.add(
-        CheckRecord(
-            name="zero_modes_preserve_subspace",
-            params={"level": level, "cutoff": cutoff},
-            status="pass" if preserved else "fail",
-            witness=preserve_witness,
+        CheckRecord.from_failures(
+            "zero_modes_preserve_subspace", {"level": level, "cutoff": cutoff}, failures
         )
     )
     # Informational: equality with the low-weight sum is expected for simple

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -236,3 +238,28 @@ def test_usage_error_exit_code():
         text=True,
     )
     assert result.returncode == 2
+
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dims", "--cutoff", "-1"],
+        ["dims", "--level", "-1"],
+        ["appendix", "--N", "5..1"],
+        ["appendix", "--s", "0..0", "--N", "-3..-1"],
+    ],
+    ids=["dims-cutoff", "dims-level", "appendix-empty-range", "appendix-no-valid-depth"],
+)
+def test_dims_and_appendix_usage_errors_exit_2(argv):
+    result = run_cli(*argv, expect=2)
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr
+
+
+def test_appendix_shallow_depth_range_samples_valid_depths():
+    # With the default s range -2..2 no depth in 0..1 fits s = -2, so s is
+    # drawn from [max(s_lo, -N_hi), s_hi] = -1..2 instead of failing.
+    result = run_cli("appendix", "--N", "0..1", "--samples", "10")
+    doc = json.loads(result.stdout)
+    assert doc["summary"]["fail"] == 0

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from zhu_forge import builtin_presentation
+from zhu_forge import builtin_presentation, voa
+from zhu_forge.report import CheckRecord
 from zhu_forge.suites import (
     ContextCache,
     RunConfig,
@@ -84,3 +85,31 @@ def test_context_cache_reuses_instances():
     first = cache.get(HEIS, 0, 4)
     second = cache.get(HEIS, 0, 4)
     assert first is second
+
+
+def test_reports_do_not_depend_on_memo_state():
+    config = RunConfig(voa="heisenberg", level=1, cutoff=3, suites=("zhu", "iso"))
+    first = run_suite(config)[1].canonical_bytes()
+    warm = run_suite(config)[1].canonical_bytes()
+    voa.clear_caches()
+    assert voa._apply_mono.cache_info().currsize == 0
+    assert voa._mode_mono.cache_info().currsize == 0
+    cold = run_suite(config)[1].canonical_bytes()
+    assert first == warm == cold
+
+
+def test_appendix_suite_draws_s_with_a_valid_depth():
+    # s = -2 has no depth in 0..1 with N + s >= 0; sampling must avoid it.
+    doc = appendix_suite(HEIS, depth_range=(0, 1), operator_samples=10, seed=1)
+    assert doc.passed
+    with pytest.raises(ValueError, match="empty"):
+        appendix_suite(HEIS, depth_range=(5, 1))
+    with pytest.raises(ValueError, match="N \\+ s >= 0"):
+        appendix_suite(HEIS, s_range=(0, 0), depth_range=(-3, -1))
+
+
+def test_check_record_from_failures():
+    passed = CheckRecord.from_failures("c", {"k": 1}, [])
+    assert (passed.status, passed.witness, passed.params) == ("pass", None, {"k": 1})
+    failed = CheckRecord.from_failures("c", {}, [{"x": 1}, {"x": 2}])
+    assert (failed.status, failed.witness) == ("fail", {"x": 1})
