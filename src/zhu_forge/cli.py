@@ -167,6 +167,13 @@ def _finish_report(doc: ReportDocument, args: argparse.Namespace, started: float
     return _golden_code(payload, args) or (0 if doc.passed else 1)
 
 
+def _input_error(exc: Exception) -> str:
+    """Normal ordering recurses once per mode, so over-deep input ends here."""
+    if isinstance(exc, RecursionError):
+        return "expression is too deeply nested to normal-order"
+    return str(exc)
+
+
 _RANGE_FLAGS = ("--s", "--t", "--N")
 _RANGE_VALUE = re.compile(r"^-?\d+(\.\.-?\d+)?$")
 
@@ -241,8 +248,8 @@ def main(argv: list[str] | None = None) -> int:
                     print("0")
             else:
                 print(format_element(parse_element(args.expr, presentation)))
-        except ParseError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        except (ParseError, RecursionError) as exc:
+            print(f"error: {_input_error(exc)}", file=sys.stderr)
             return 2
         return 0
 
@@ -253,18 +260,18 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         try:
             expression = parse_uea(args.expr, presentation)
-        except ParseError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            for word in expression.terms:
+                degree = -sum(shift for _, shift in word)
+                if degree != 0:
+                    print(
+                        f"error: word {format_word(word)} has degree {degree}, not 0",
+                        file=sys.stderr,
+                    )
+                    return 2
+            result, trace = reduce_word(presentation, expression, args.mod_level, args.variant)
+        except (ParseError, RecursionError) as exc:
+            print(f"error: {_input_error(exc)}", file=sys.stderr)
             return 2
-        for word in expression.terms:
-            degree = -sum(shift for _, shift in word)
-            if degree != 0:
-                print(
-                    f"error: word {format_word(word)} has degree {degree}, not 0",
-                    file=sys.stderr,
-                )
-                return 2
-        result, trace = reduce_word(presentation, expression, args.mod_level, args.variant)
         print(format_element(result))
         if args.trace:
             Path(args.trace).write_text(
@@ -285,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         if args.command == "appendix":
             ranges = _parse_range(args.s), _parse_range(args.t), _parse_range(args.N)
-            check_appendix_ranges(*ranges)
+            check_appendix_ranges(*ranges, args.shift_bound, args.samples)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

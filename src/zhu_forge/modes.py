@@ -624,7 +624,6 @@ def homomorphism_check(
     failures_semantic = []
 
     omega_vectors, _ = omega_subspace(presentation, level, weight_bound)
-    ctx = None
 
     for u in states:
         for v in states:
@@ -640,11 +639,8 @@ def homomorphism_check(
             got_rev, _ = reduce_word(presentation, [(v, 0), (u, 0)], level + 1)
             difference = (got - got_rev) - (expected - reverse)
             if difference:
-                if ctx is None:
-                    ctx = build_zhu_context(
-                        presentation, level, max(weight_bound, difference.max_weight())
-                    )
-                if ctx.reduce(difference):
+                cutoff = max(weight_bound, difference.max_weight())
+                if build_zhu_context(presentation, level, cutoff).reduce(difference):
                     failures_commutator.append(
                         {"u": format_element(u), "v": format_element(v)}
                     )

@@ -1,9 +1,9 @@
 """Suite orchestration shared by the command line and the acceptance tests.
 
 Each suite function returns a :class:`ReportDocument`; :func:`run_suite`
-dispatches on a :class:`RunConfig` and merges the results. Zhu contexts are
-cached per (presentation, level, cutoff) within a run so that the iso suite
-does not rebuild spans the zhu suite already produced.
+dispatches on a :class:`RunConfig` and merges the results. Zhu contexts come
+from the memoized :func:`zhu.build_zhu_context`, so each truncated span is
+built once per process whichever suite asks for it first.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .voa import (
     format_element,
 )
 from .zhu import (
-    ZhuContext,
     build_zhu_context,
     c2_dims,
     inverse_system_check,
@@ -65,25 +64,7 @@ class RunConfig:
         return builtin_presentation(self.voa, self.central_charge)
 
 
-class ContextCache:
-    """Per-run cache of truncated level spans."""
-
-    def __init__(self) -> None:
-        self._store: dict[tuple[str, Fraction, int, int], ZhuContext] = {}
-
-    def get(self, presentation: Presentation, level: int, cutoff: int) -> ZhuContext:
-        key = (presentation.name, presentation.central_charge, level, cutoff)
-        if key not in self._store:
-            self._store[key] = build_zhu_context(presentation, level, cutoff)
-        return self._store[key]
-
-
-def zhu_structure_suite(
-    presentation: Presentation,
-    level: int,
-    cutoff: int,
-    cache: ContextCache | None = None,
-) -> ReportDocument:
+def zhu_structure_suite(presentation: Presentation, level: int, cutoff: int) -> ReportDocument:
     """Quotient-algebra structure at truncation.
 
     Exact checks: the vacuum class is a two-sided star identity, the
@@ -92,8 +73,7 @@ def zhu_structure_suite(
     level 0, and the translation rows vanish in the quotient. Products
     whose output leaves the window are skipped, not truncated.
     """
-    cache = cache or ContextCache()
-    ctx = cache.get(presentation, level, cutoff)
+    ctx = build_zhu_context(presentation, level, cutoff)
     vac = FockVector.vacuum(presentation)
     basis = basis_vectors(presentation, cutoff)
     doc = ReportDocument(
@@ -190,10 +170,19 @@ def zhu_structure_suite(
 
 
 def check_appendix_ranges(
-    s_range: tuple[int, int], t_range: tuple[int, int], depth_range: tuple[int, int]
+    s_range: tuple[int, int],
+    t_range: tuple[int, int],
+    depth_range: tuple[int, int],
+    shift_bound: int,
+    operator_samples: int,
 ) -> None:
-    """Raise ``ValueError`` unless every range is nonempty and some ``s`` and
-    depth in them satisfy ``depth + s >= 0``, so that sampling can succeed."""
+    """Raise ``ValueError`` unless every range is nonempty, some ``s`` and
+    depth in them satisfy ``depth + s >= 0`` (so that sampling can succeed),
+    the shift bound is nonnegative and at least one sample is drawn."""
+    if shift_bound < 0:
+        raise ValueError(f"shift bound {shift_bound} is negative")
+    if operator_samples < 1:
+        raise ValueError(f"samples {operator_samples} is below 1")
     for label, (lo, hi) in (("s", s_range), ("t", t_range), ("N", depth_range)):
         if lo > hi:
             raise ValueError(f"empty {label} range {lo}..{hi}")
@@ -221,7 +210,7 @@ def appendix_suite(
     sample draws ``s`` from ``[max(s_lo, -N_hi), s_hi]`` so that a depth with
     ``N + s >= 0`` exists; see :func:`check_appendix_ranges`.
     """
-    check_appendix_ranges(s_range, t_range, depth_range)
+    check_appendix_ranges(s_range, t_range, depth_range, shift_bound, operator_samples)
     doc = ReportDocument(
         config={
             "suite": "appendix",
@@ -324,12 +313,10 @@ def deep_tail_witness_suite(
 
 
 def dims_suite(
-    presentation: Presentation, level: int, cutoff: int, cache: ContextCache | None = None
+    presentation: Presentation, level: int, cutoff: int
 ) -> tuple[ReportDocument, dict[str, DimensionTable]]:
     """Dimension tables for the truncated quotient and the C2 quotient."""
-    cache = cache or ContextCache()
-    ctx = cache.get(presentation, level, cutoff)
-    quotient = ctx.dimension_table()
+    quotient = build_zhu_context(presentation, level, cutoff).dimension_table()
     c2 = c2_dims(presentation, cutoff)
     doc = ReportDocument(
         config={
@@ -362,7 +349,6 @@ def dims_suite(
 def run_suite(config: RunConfig) -> tuple[int, ReportDocument]:
     """Run the selected suites; exit code 0 iff every check passed."""
     presentation = config.presentation()
-    cache = ContextCache()
     merged = ReportDocument(
         config={
             "voa": config.voa,
@@ -377,13 +363,13 @@ def run_suite(config: RunConfig) -> tuple[int, ReportDocument]:
         if suite == "axioms":
             doc = axiom_suite(presentation, config.cutoff, SamplingPlan(seed=config.seed))
         elif suite == "zhu":
-            doc = zhu_structure_suite(presentation, config.level, config.cutoff, cache)
+            doc = zhu_structure_suite(presentation, config.level, config.cutoff)
         elif suite == "appendix":
             doc = appendix_suite(presentation, seed=config.seed)
         elif suite == "iso":
             doc = homomorphism_check(presentation, config.level, config.cutoff)
         elif suite == "dims":
-            doc, _tables = dims_suite(presentation, config.level, config.cutoff, cache)
+            doc, _tables = dims_suite(presentation, config.level, config.cutoff)
         elif suite == "omega":
             _vectors, doc = omega_subspace(presentation, config.level, config.cutoff)
         else:  # pragma: no cover - guarded by RunConfig

@@ -23,7 +23,6 @@ resulting structure with exact arithmetic.
 from __future__ import annotations
 
 import random
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -263,11 +262,6 @@ def basis_vectors(presentation: Presentation, max_weight: int) -> list[FockVecto
     ]
 
 
-def _ensure_recursion_headroom() -> None:
-    if sys.getrecursionlimit() < 100_000:
-        sys.setrecursionlimit(100_000)
-
-
 Combo = tuple[tuple[Monomial, Fraction], ...]
 
 
@@ -360,7 +354,6 @@ def apply_generator_mode(
     """Apply the generator mode ``g(m)`` to a vector, re-normal-ordered."""
     if x.presentation != presentation:
         raise ValueError("vector does not belong to this presentation")
-    _ensure_recursion_headroom()
     acc: dict[Monomial, Fraction] = {}
     for mono, coeff in x.terms.items():
         add_scaled(acc, _apply_mono(presentation, gen, m, mono), coeff)
@@ -375,7 +368,6 @@ def mode_action(u: FockVector, n: int, v: FockVector) -> FockVector:
     inputs are homogeneous.
     """
     u._check_same(v)
-    _ensure_recursion_headroom()
     presentation = u.presentation
     acc: dict[Monomial, Fraction] = {}
     for umono, ucoeff in u.terms.items():
@@ -396,9 +388,13 @@ def truncation_bound(u: FockVector, v: FockVector) -> int:
 
 
 def clear_caches() -> None:
-    """Drop the normal-ordering memo tables (mainly for benchmarks)."""
+    """Empty every memo table: normal ordering, the mode action and the
+    truncated level spans of ``zhu.build_zhu_context``."""
+    from .zhu import build_zhu_context
+
     _apply_mono.cache_clear()
     _mode_mono.cache_clear()
+    build_zhu_context.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .combinatorics import binomial
 from .linalg import add_scaled, kernel_basis, reduce_vector, rref
@@ -202,8 +203,13 @@ def spanning_vectors(presentation: Presentation, level: int, cutoff: int) -> lis
     return vectors
 
 
+@lru_cache(maxsize=None)
 def build_zhu_context(presentation: Presentation, level: int, cutoff: int) -> ZhuContext:
-    """Collect and row-reduce the truncated level ideal."""
+    """Collect and row-reduce the truncated level ideal.
+
+    Memoized like normal ordering, so each (presentation, level, cutoff)
+    span is built once per process; ``voa.clear_caches`` empties the memo.
+    """
     if level < 0 or cutoff < 0:
         raise ValueError("level and cutoff must be nonnegative")
     raw = spanning_vectors(presentation, level, cutoff)

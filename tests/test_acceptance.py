@@ -20,6 +20,7 @@ from zhu_forge import (
     basic_circle_product,
     basic_star_product,
     basis_vectors,
+    build_zhu_context,
     builtin_presentation,
     circle_product,
     evaluate_expression,
@@ -34,7 +35,6 @@ from zhu_forge import (
     word_expression,
 )
 from zhu_forge.suites import (
-    ContextCache,
     appendix_suite,
     deep_tail_witness_suite,
     zhu_structure_suite,
@@ -122,9 +122,8 @@ def criterion_2_level_zero_products() -> ReportDocument:
 def criterion_3_quotient_structure() -> ReportDocument:
     docs = []
     for presentation in BOTH:
-        cache = ContextCache()
         for level in (0, 1, 2):
-            docs.append(zhu_structure_suite(presentation, level, 6, cache))
+            docs.append(zhu_structure_suite(presentation, level, 6))
     return _merge("quotient_structure", docs)
 
 
@@ -188,7 +187,6 @@ def criterion_8_word_reduction() -> ReportDocument:
     for presentation in BOTH:
         rng = random.Random(SEED)
         pool = basis_vectors(presentation, 3)
-        cache = ContextCache()
         kernels = {n: omega_subspace(presentation, n, 6)[0] for n in (0, 1, 2)}
         accepted = rejected = 0
         failures_semantic = []
@@ -225,7 +223,7 @@ def criterion_8_word_reduction() -> ReportDocument:
                     break
             difference = rightmost - leftmost
             if difference:
-                ctx = cache.get(presentation, level, REDUCTION_WINDOW)
+                ctx = build_zhu_context(presentation, level, REDUCTION_WINDOW)
                 if ctx.reduce(difference):
                     failures_confluence.append({"shifts": shifts, "mod_level": mod_level})
         doc = ReportDocument(

@@ -248,8 +248,17 @@ def test_usage_error_exit_code():
         ["dims", "--level", "-1"],
         ["appendix", "--N", "5..1"],
         ["appendix", "--s", "0..0", "--N", "-3..-1"],
+        ["appendix", "--shift-bound", "-1"],
+        ["appendix", "--samples", "-3"],
     ],
-    ids=["dims-cutoff", "dims-level", "appendix-empty-range", "appendix-no-valid-depth"],
+    ids=[
+        "dims-cutoff",
+        "dims-level",
+        "appendix-empty-range",
+        "appendix-no-valid-depth",
+        "appendix-negative-shift-bound",
+        "appendix-no-samples",
+    ],
 )
 def test_dims_and_appendix_usage_errors_exit_2(argv):
     result = run_cli(*argv, expect=2)
@@ -263,3 +272,19 @@ def test_appendix_shallow_depth_range_samples_valid_depths():
     result = run_cli("appendix", "--N", "0..1", "--samples", "10")
     doc = json.loads(result.stdout)
     assert doc["summary"]["fail"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parse", "--expr", "a[1]" + "a[-1]" * 20000 + "vac"],
+        ["reduce", "--mod-level", "1", "--expr", "J[0](a[1]" + "a[-1]" * 1000 + "vac)"],
+    ],
+    ids=["parse-20000-modes", "reduce-1000-modes"],
+)
+def test_over_deep_expression_exits_2(argv):
+    # Normal ordering recurses once per mode; past the interpreter's
+    # recursion limit the command reports a usage error instead of crashing.
+    result = run_cli(*argv, expect=2)
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr

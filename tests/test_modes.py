@@ -24,6 +24,7 @@ from zhu_forge import (
     reordering_residual,
     replay_trace,
     star_product,
+    translation_row,
     vhat_bracket,
     word_degree,
     word_expression,
@@ -453,6 +454,31 @@ def test_reduction_orders_agree_modulo_ideal():
 
 
 # --- the compatibility suite -------------------------------------------------------
+
+
+def test_homomorphism_check_sizes_each_commutator_context(monkeypatch):
+    # Perturb two reversed-pair reductions by elements of the level-0 ideal of
+    # weights 3 and 4: the second commutator difference is heavier than the
+    # first, and both must still reduce to zero.
+    import zhu_forge.modes as modes_module
+
+    reduce_word_exact = modes_module.reduce_word
+    perturbations = iter(
+        translation_row(HEIS, mono(HEIS, *[(-1, "a")] * k)) for k in (2, 3)
+    )
+    calls = []
+
+    def perturbed(*args, **kwargs):
+        result, trace = reduce_word_exact(*args, **kwargs)
+        calls.append(args[1])
+        if len(calls) % 2 == 0:  # the second call of each pair reverses it
+            result = result + next(perturbations, FockVector.zero(HEIS))
+        return result, trace
+
+    monkeypatch.setattr(modes_module, "reduce_word", perturbed)
+    doc = homomorphism_check(HEIS, 0, 1)
+    assert len(calls) == 8
+    assert doc.passed
 
 
 def test_homomorphism_check_passes():

@@ -2,10 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from zhu_forge import builtin_presentation, voa
+from zhu_forge import builtin_presentation, cli, voa, zhu
 from zhu_forge.report import CheckRecord
 from zhu_forge.suites import (
-    ContextCache,
     RunConfig,
     appendix_suite,
     deep_tail_witness_suite,
@@ -51,7 +50,7 @@ def test_run_suite_is_deterministic():
 
 
 def test_zhu_structure_suite_counts_in_range_checks():
-    doc = zhu_structure_suite(HEIS, 0, 5, ContextCache())
+    doc = zhu_structure_suite(HEIS, 0, 5)
     records = {record.name: record for record in doc.sorted_checks()}
     assert records["associativity"].params["checked"] > 0
     assert records["two_sided_ideal"].params["checked"] > 0
@@ -74,17 +73,34 @@ def test_deep_tail_witness_suite_passes():
 
 
 def test_dims_suite_returns_tables():
-    doc, tables = dims_suite(HEIS, 0, 4, ContextCache())
+    doc, tables = dims_suite(HEIS, 0, 4)
     assert doc.passed
     assert tables["quotient"].rows == [(0, 1), (1, 1), (2, 1), (3, 1), (4, 1)]
     assert tables["c2"].rows[0] == (0, 1)
 
 
-def test_context_cache_reuses_instances():
-    cache = ContextCache()
-    first = cache.get(HEIS, 0, 4)
-    second = cache.get(HEIS, 0, 4)
-    assert first is second
+def test_build_zhu_context_is_memoized():
+    first = zhu.build_zhu_context(HEIS, 0, 4)
+    assert zhu.build_zhu_context(HEIS, 0, 4) is first
+    voa.clear_caches()
+    assert zhu.build_zhu_context(HEIS, 0, 4) is not first
+
+
+def test_zhu_span_out_builds_each_level_span_once(monkeypatch, tmp_path, capsys):
+    built = []
+
+    def counting(presentation, level, cutoff):
+        built.append((level, cutoff))
+        return spanning_vectors(presentation, level, cutoff)
+
+    spanning_vectors = zhu.spanning_vectors
+    voa.clear_caches()
+    monkeypatch.setattr(zhu, "spanning_vectors", counting)
+    argv = ["zhu", "--level", "1", "--cutoff", "4", "--span-out", str(tmp_path / "span.json")]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    # The zhu suite, the level tower check and --span-out share the memo.
+    assert sorted(built) == [(0, 4), (1, 4)]
 
 
 def test_reports_do_not_depend_on_memo_state():
@@ -94,6 +110,7 @@ def test_reports_do_not_depend_on_memo_state():
     voa.clear_caches()
     assert voa._apply_mono.cache_info().currsize == 0
     assert voa._mode_mono.cache_info().currsize == 0
+    assert zhu.build_zhu_context.cache_info().currsize == 0
     cold = run_suite(config)[1].canonical_bytes()
     assert first == warm == cold
 

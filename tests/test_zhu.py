@@ -176,6 +176,7 @@ def test_virasoro_translation_row_appears_in_span():
 def test_vacuum_pivot_is_fatal(monkeypatch):
     import zhu_forge.zhu as zhu_module
 
+    zhu_module.build_zhu_context.cache_clear()  # force a build, not a memo hit
     monkeypatch.setattr(zhu_module, "spanning_vectors", lambda *a: [VAC])
     with pytest.raises(RuntimeError, match="vacuum"):
         build_zhu_context(HEIS, 0, 2)
