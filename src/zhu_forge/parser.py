@@ -18,6 +18,10 @@ Mode-expression grammar::
 
 Modes of the vacuum collapse on construction, so ``J[0](vac)`` is the
 scalar word.
+
+A term applies at most :data:`MAX_TERM_MODES` modes: building a state costs
+time quadratic in its number of modes and normal ordering recurses once per
+mode, so a longer product is rejected before any of it is evaluated.
 """
 
 from __future__ import annotations
@@ -30,6 +34,9 @@ from .modes import UEAExpression, word_expression
 from .voa import FockVector, Presentation, apply_generator_mode
 
 __all__ = ["ParseError", "parse_element", "parse_uea"]
+
+
+MAX_TERM_MODES = 1000
 
 
 class ParseError(ValueError):
@@ -130,6 +137,8 @@ def _parse_term(cursor: _Cursor, presentation: Presentation) -> FockVector:
                 raise ParseError(
                     f"unknown generator {value!r} for presentation {presentation.name}", pos
                 )
+            if len(modes) == MAX_TERM_MODES:
+                raise ParseError(f"a term may apply at most {MAX_TERM_MODES} modes", pos)
             cursor.advance()
             cursor.expect("lbrack", "'['")
             index = _parse_signed_int(cursor)

@@ -78,6 +78,24 @@ class Presentation:
     conformal_recipe: tuple[tuple[Monomial, Fraction], ...]
     vacuum_thresholds: tuple[tuple[str, int], ...]  # least m with g(m)|vac> = 0
 
+    # Every field is immutable, so the hash is computed once: the memo
+    # tables hash their presentation argument on every lookup. Equality
+    # stays field-based, so equal presentations built apart share memo
+    # entries.
+    def __post_init__(self) -> None:
+        fields = (
+            self.name,
+            self.generators,
+            self.brackets,
+            self.central_charge,
+            self.conformal_recipe,
+            self.vacuum_thresholds,
+        )
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def weight_of(self, label: str) -> int:
         for gen, wt in self.generators:
             if gen == label:
@@ -388,12 +406,14 @@ def truncation_bound(u: FockVector, v: FockVector) -> int:
 
 
 def clear_caches() -> None:
-    """Empty every memo table: normal ordering, the mode action and the
-    truncated level spans of ``zhu.build_zhu_context``."""
-    from .zhu import build_zhu_context
+    """Empty every memo table: normal ordering, the mode action, the star
+    products of basis monomials (``zhu._star_mono``) and the truncated level
+    spans of ``zhu.build_zhu_context``."""
+    from .zhu import _star_mono, build_zhu_context
 
     _apply_mono.cache_clear()
     _mode_mono.cache_clear()
+    _star_mono.cache_clear()
     build_zhu_context.cache_clear()
 
 

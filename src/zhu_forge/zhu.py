@@ -6,7 +6,10 @@ For a nonnegative level ``n`` the products are
     star:    u *_n v = sum_{m=0}^{n} sum_i (-1)^m C(m+n, n) C(wt(u)+n, i)
                         u_{i-m-n-1} v
 
-with ``u`` split into homogeneous parts first. The level ideal is spanned by
+with ``u`` split into homogeneous parts first. Both are bilinear; the star
+product is evaluated through its structure constants on pairs of basis
+monomials, memoized per process like normal ordering and the mode action
+(``voa.clear_caches`` empties every memo). The level ideal is spanned by
 all circle products together with ``L(-1)u + L(0)u``; a :class:`ZhuContext`
 holds the row-reduced span of the spanning vectors whose components all fit
 under a weight cutoff. That is an inner approximation of the ideal's
@@ -25,6 +28,7 @@ from .combinatorics import binomial
 from .linalg import add_scaled, kernel_basis, reduce_vector, rref
 from .report import CheckRecord, DimensionTable, ReportDocument
 from .voa import (
+    Combo,
     FockVector,
     Monomial,
     Presentation,
@@ -58,22 +62,41 @@ def circle_product(u: FockVector, v: FockVector, level: int) -> FockVector:
 
 
 def star_product(u: FockVector, v: FockVector, level: int) -> FockVector:
-    """The level-``level`` star product, bilinear, exact."""
+    """The level-``level`` star product, exact: the bilinear extension of its
+    structure constants on basis monomials, which are memoized."""
     if level < 0:
         raise ValueError("level must be nonnegative")
     u._check_same(v)
+    presentation = u.presentation
     acc: dict[Monomial, Fraction] = {}
-    for wu, upart in u.weight_decomposition().items():
-        for m in range(level + 1):
-            outer = binomial(m + level, level)
-            if m % 2:
-                outer = -outer
-            for i in range(wu + level + 1):
-                c = binomial(wu + level, i)
-                if c:
-                    term = mode_action(upart, i - m - level - 1, v)
-                    add_scaled(acc, term.terms.items(), outer * c)
-    return FockVector(u.presentation, acc)
+    for umono, ucoeff in u.terms.items():
+        for vmono, vcoeff in v.terms.items():
+            add_scaled(acc, _star_mono(presentation, umono, vmono, level), ucoeff * vcoeff)
+    return FockVector(presentation, acc)
+
+
+@lru_cache(maxsize=None)
+def _star_mono(
+    presentation: Presentation, umono: Monomial, vmono: Monomial, level: int
+) -> Combo:
+    """``u *_level v`` for two basis monomials, from the defining sum.
+
+    A monomial is homogeneous, so no weight split is needed. The result is
+    frozen as sorted (monomial, coefficient) pairs; ``voa.clear_caches``
+    empties the memo.
+    """
+    u = FockVector.from_monomial(presentation, umono)
+    v = FockVector.from_monomial(presentation, vmono)
+    top = monomial_weight(umono) + level
+    acc: dict[Monomial, Fraction] = {}
+    for m in range(level + 1):
+        outer = binomial(m + level, level)
+        if m % 2:
+            outer = -outer
+        for i in range(top + 1):
+            term = mode_action(u, i - m - level - 1, v)
+            add_scaled(acc, term.terms.items(), outer * binomial(top, i))
+    return tuple(sorted(acc.items()))
 
 
 def basic_circle_product(u: FockVector, v: FockVector) -> FockVector:

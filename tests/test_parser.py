@@ -54,6 +54,14 @@ def test_parse_unknown_generator():
     assert err.value.position == 5
 
 
+def test_parse_bounds_the_modes_of_a_term():
+    longest = "a[-1]" * 1000 + "vac"
+    assert parse_element(longest, HEIS) == FockVector.from_monomial(HEIS, ((-1, "a"),) * 1000)
+    with pytest.raises(ParseError, match="at most 1000 modes") as err:
+        parse_element("vac + a[-1]" + longest, HEIS)
+    assert err.value.position == len("vac + a[-1]") + 5 * 999
+
+
 def test_parse_syntax_errors_carry_position():
     with pytest.raises(ParseError):
         parse_element("a[-1]", HEIS)  # missing vac

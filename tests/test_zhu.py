@@ -1,7 +1,10 @@
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zhu_forge import (
     FockVector,
@@ -19,8 +22,9 @@ from zhu_forge import (
     omega_subspace,
     star_product,
     translation_row,
+    voa,
 )
-from zhu_forge.zhu import an_dims, spanning_vectors
+from zhu_forge.zhu import _star_mono, an_dims, spanning_vectors
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -94,6 +98,53 @@ def test_products_are_bilinear():
         assert circle_product(x + y, A, level) == (
             circle_product(x, A, level) + circle_product(y, A, level)
         )
+
+
+def reference_star(u, v, level):
+    """Unmemoized ``u *_level v`` from the defining sum over ``mode_action``."""
+    out = FockVector.zero(u.presentation)
+    for wu, upart in u.weight_decomposition().items():
+        for m in range(level + 1):
+            for i in range(wu + level + 1):
+                coeff = (-1) ** m * math.comb(m + level, level) * math.comb(wu + level, i)
+                out = out + coeff * mode_action(upart, i - m - level - 1, v)
+    return out
+
+
+@st.composite
+def sparse_vectors(draw, presentation):
+    """Sparse vectors mixing the weights 0..3, small rational coefficients."""
+    monos = [m for _, ms in voa.enumerate_basis(presentation, 3) for m in ms]
+    chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    return FockVector(presentation, {m: draw(coeffs) for m in chosen})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from((HEIS, VIR)), st.integers(0, 2))
+def test_star_product_matches_defining_sum(data, presentation, level):
+    u = data.draw(sparse_vectors(presentation))
+    v = data.draw(sparse_vectors(presentation))
+    expected = reference_star(u, v, level)
+    assert star_product(u, v, level) == expected
+    if level == 0:
+        assert basic_star_product(u, v) == expected
+    voa.clear_caches()
+    assert star_product(u, v, level) == expected
+
+
+def test_equal_presentations_share_star_memo():
+    first = builtin_presentation("virasoro", Fraction(1, 2))
+    second = builtin_presentation("virasoro", Fraction(1, 2))
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    modes = ((-3, "L"), (-2, "L"))
+    star_product(mono(first, *modes), mono(first, (-2, "L")), 1)
+    before = _star_mono.cache_info()
+    star_product(mono(second, *modes), mono(second, (-2, "L")), 1)
+    after = _star_mono.cache_info()
+    assert after.hits > before.hits
+    assert after.misses == before.misses
 
 
 # --- truncated contexts -----------------------------------------------------
