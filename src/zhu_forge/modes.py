@@ -69,9 +69,6 @@ class UEAExpression(Combination):
             add_scaled(out, ((w1 + w2, c2) for w2, c2 in other.terms.items()), c1)
         return UEAExpression(self.presentation, out)
 
-    def degrees(self) -> set[int]:
-        return {word_degree(w) for w in self.terms}
-
     def __repr__(self) -> str:
         if not self.terms:
             return "UEAExpression(0)"
@@ -276,23 +273,7 @@ def reordering_residual(
         add_scaled(acc, side.terms.items(), c)
 
     add_scaled(acc, word_expression(presentation, [(u, -s), (v, t)]).terms.items(), -1)
-    for k in range(depth + 1, margin + 1):
-        for j in range(depth + 1):
-            c = binomial(depth + s + j, j) * binomial(depth + s + k, k - j)
-            if j % 2:
-                c = -c
-            if c:
-                words = word_expression(presentation, [(u, -k - s), (v, k + t)])
-                add_scaled(acc, words.terms.items(), -c)
-    sign = -1 if (depth + s + 1) % 2 else 1
-    for j in range(depth + 1):
-        for i in range(margin + 1):
-            c = binomial(depth + s + j, j) * binomial(depth + s + j + i, i)
-            if c:
-                words = word_expression(
-                    presentation, [(v, t - depth - s - 1 - i), (u, depth + 1 + i)]
-                )
-                add_scaled(acc, words.terms.items(), sign * c)
+    _add_pair_tails(acc, s, t, depth, u, v, margin, margin)
     kept = {w: c for w, c in acc.items() if all(-bound <= shift <= bound for _, shift in w)}
     return UEAExpression(presentation, kept)
 
@@ -333,30 +314,41 @@ def pair_expansion(
                 inner = mode_action(upart, -depth - s - 1 - j + i, v)
                 if inner:
                     add_scaled(acc, mode_symbol(inner, t - s).terms.items(), ci * cj)
-    if right_bound is None:
-        return UEAExpression(presentation, acc)
-    for k in range(depth + 1, max(right_bound - t, depth) + 1):
-        if k + t > right_bound:
-            break
-        for j in range(depth + 1):
-            c = binomial(depth + s + j, j) * binomial(depth + s + k, k - j)
-            if j % 2:
-                c = -c
-            if c:
-                words = word_expression(presentation, [(u, -k - s), (v, k + t)])
-                add_scaled(acc, words.terms.items(), -c)
-    sign = -1 if (depth + s + 1) % 2 else 1
-    for i in range(max(right_bound - depth, 0) + 1):
-        if depth + 1 + i > right_bound:
-            break
-        for j in range(depth + 1):
-            c = binomial(depth + s + j, j) * binomial(depth + s + j + i, i)
-            if c:
-                words = word_expression(
-                    presentation, [(v, t - depth - s - 1 - i), (u, depth + 1 + i)]
-                )
-                add_scaled(acc, words.terms.items(), sign * c)
+    if right_bound is not None:
+        _add_pair_tails(acc, s, t, depth, u, v, right_bound - t, right_bound - depth - 1)
     return UEAExpression(presentation, acc)
+
+
+def _add_pair_tails(
+    acc: dict[Word, Fraction],
+    s: int,
+    t: int,
+    depth: int,
+    u: FockVector,
+    v: FockVector,
+    k_top: int,
+    i_top: int,
+) -> None:
+    """Add both tail families of the pair rewrite to ``acc``: right factors
+    ``J_{k+t}(v)`` for ``depth < k <= k_top`` and ``J_{depth+1+i}(u)`` for
+    ``0 <= i <= i_top``, each coefficient summed over ``j`` first."""
+    presentation = u.presentation
+    for k in range(depth + 1, k_top + 1):
+        c = sum(
+            (-1 if j % 2 else 1) * binomial(depth + s + j, j) * binomial(depth + s + k, k - j)
+            for j in range(depth + 1)
+        )
+        if c:
+            words = word_expression(presentation, [(u, -k - s), (v, k + t)])
+            add_scaled(acc, words.terms.items(), -c)
+    sign = -1 if (depth + s + 1) % 2 else 1
+    for i in range(i_top + 1):
+        c = sum(
+            binomial(depth + s + j, j) * binomial(depth + s + j + i, i) for j in range(depth + 1)
+        )
+        if c:
+            words = word_expression(presentation, [(v, t - depth - s - 1 - i), (u, depth + 1 + i)])
+            add_scaled(acc, words.terms.items(), sign * c)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
 """Machine-readable results: check records, dimension tables, golden files.
 
-Reports serialize to canonical JSON: keys sorted, compact separators,
-rationals rendered as ``p/q`` strings, and volatile fields (wall times)
-omitted. Canonical bytes are what golden comparison and the determinism
-checks operate on; timings are still kept on the in-memory records for
-console display.
+Reports serialize to canonical JSON: keys sorted, compact separators and
+rationals rendered as ``p/q`` strings. Records hold no volatile fields, so
+the same run gives the same bytes; golden comparison and the determinism
+checks operate on them.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ class CheckRecord:
     params: dict[str, Any] = field(default_factory=dict)
     status: str = "pass"  # pass | fail | skipped
     witness: Any = None
-    wall_ms: float | None = None
 
     @classmethod
     def from_failures(cls, name: str, params: dict[str, Any], failures: list) -> "CheckRecord":
@@ -53,16 +51,13 @@ class CheckRecord:
             return cls(name=name, params=params, status="fail", witness=failures[0])
         return cls(name=name, params=params)
 
-    def to_jsonable(self, canonical: bool = True) -> dict[str, Any]:
-        out: dict[str, Any] = {
+    def to_jsonable(self) -> dict[str, Any]:
+        return {
             "name": self.name,
             "params": _jsonable(self.params),
             "status": self.status,
             "witness": _jsonable(self.witness),
         }
-        if not canonical and self.wall_ms is not None:
-            out["wall_ms"] = round(self.wall_ms, 3)
-        return out
 
 
 @dataclass
@@ -94,21 +89,18 @@ class ReportDocument:
             key=lambda rec: (rec.name, json.dumps(_jsonable(rec.params), sort_keys=True)),
         )
 
-    def to_jsonable(self, canonical: bool = True) -> dict[str, Any]:
+    def to_jsonable(self) -> dict[str, Any]:
         return {
             "schema_version": SCHEMA_VERSION,
             "tool": TOOL_NAME,
             "tool_version": TOOL_VERSION,
             "config": _jsonable(self.config),
-            "checks": [rec.to_jsonable(canonical=canonical) for rec in self.sorted_checks()],
+            "checks": [rec.to_jsonable() for rec in self.sorted_checks()],
             "summary": self.summary(),
         }
 
     def canonical_bytes(self) -> bytes:
-        return canonical_json_bytes(self.to_jsonable(canonical=True))
-
-    def write(self, path: str | Path) -> None:
-        Path(path).write_bytes(self.canonical_bytes())
+        return canonical_json_bytes(self.to_jsonable())
 
 
 @dataclass

@@ -51,7 +51,6 @@ class RunConfig:
     cutoff: int = 6
     suites: tuple[str, ...] = ("axioms",)
     seed: int = 0
-    out: str | None = None
 
     def __post_init__(self) -> None:
         if self.level < 0 or self.cutoff < 0:
@@ -380,9 +379,6 @@ def run_suite(config: RunConfig) -> tuple[int, ReportDocument]:
                 params=record.params,
                 status=record.status,
                 witness=record.witness,
-                wall_ms=record.wall_ms,
             )
             merged.add(prefixed)
-    if config.out:
-        merged.write(config.out)
     return (0 if merged.passed else 1), merged

@@ -67,9 +67,13 @@ class BracketTerm:
     uses_charge: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Presentation:
-    """A strongly generated vertex operator algebra on its vacuum module."""
+    """A strongly generated vertex operator algebra on its vacuum module.
+
+    Compared and hashed by identity: :func:`builtin_presentation` returns one
+    shared object per VOA, and a copy built by hand is another presentation.
+    """
 
     name: str
     generators: tuple[tuple[str, int], ...]  # (label, conformal weight)
@@ -77,24 +81,6 @@ class Presentation:
     central_charge: Fraction
     conformal_recipe: tuple[tuple[Monomial, Fraction], ...]
     vacuum_thresholds: tuple[tuple[str, int], ...]  # least m with g(m)|vac> = 0
-
-    # Every field is immutable, so the hash is computed once: the memo
-    # tables hash their presentation argument on every lookup. Equality
-    # stays field-based, so equal presentations built apart share memo
-    # entries.
-    def __post_init__(self) -> None:
-        fields = (
-            self.name,
-            self.generators,
-            self.brackets,
-            self.central_charge,
-            self.conformal_recipe,
-            self.vacuum_thresholds,
-        )
-        object.__setattr__(self, "_hash", hash(fields))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def weight_of(self, label: str) -> int:
         for gen, wt in self.generators:
@@ -132,16 +118,30 @@ def monomial_order(mono: Monomial) -> tuple:
 
 
 def builtin_presentation(name: str, central_charge: Fraction | int | None = None) -> Presentation:
-    """Construct one of the built-in examples.
+    """The shared presentation of one of the built-in examples.
 
     ``heisenberg``: the rank-one free boson. One weight-1 generator ``a``
     with ``[a(m), a(n)] = m delta_{m+n,0}``; the conformal vector is
-    ``(1/2) a(-1)a(-1)vac`` and the central charge is forced to 1.
+    ``(1/2) a(-1)a(-1)vac`` and the central charge is 1 whatever is given.
 
     ``virasoro``: the universal Virasoro vacuum module at the given central
     charge. One weight-2 generator ``L`` with the standard bracket; the
     conformal vector is ``L(-2)vac``.
+
+    Equal requests return the identical object, even across
+    :func:`clear_caches`; ``virasoro`` is keyed on ``Fraction(central_charge)``.
     """
+    if name != "virasoro":
+        return _intern_builtin(name, None)
+    if central_charge is None:
+        raise ValueError("virasoro presentation needs a central charge")
+    return _intern_builtin(name, Fraction(central_charge))
+
+
+# Not a memo: clear_caches leaves it alone, so vectors held across a clear
+# stay compatible with later requests.
+@lru_cache(maxsize=None)
+def _intern_builtin(name: str, c: Fraction | None) -> Presentation:
     if name == "heisenberg":
         mono_aa: Monomial = ((-1, "a"), (-1, "a"))
         return Presentation(
@@ -155,9 +155,6 @@ def builtin_presentation(name: str, central_charge: Fraction | int | None = None
             vacuum_thresholds=(("a", 0),),
         )
     if name == "virasoro":
-        if central_charge is None:
-            raise ValueError("virasoro presentation needs a central charge")
-        c = Fraction(central_charge)
         vir_terms = (
             BracketTerm(poly=_poly(((1, 0), 1), ((0, 1), -1)), target="L"),
             BracketTerm(
@@ -287,7 +284,19 @@ def _freeze(acc: dict[Monomial, Fraction]) -> Combo:
     return tuple((m, c) for m, c in sorted(acc.items()) if c)
 
 
-@lru_cache(maxsize=None)
+# Every memo table of the package, registered where it is defined, so that
+# clear_caches reaches the tables even where a name is later rebound.
+_MEMOS: list = []
+
+
+def memo(fn):
+    """Memoize ``fn`` without bound and register it with :func:`clear_caches`."""
+    cached = lru_cache(maxsize=None)(fn)
+    _MEMOS.append(cached)
+    return cached
+
+
+@memo
 def _apply_mono(presentation: Presentation, gen: str, m: int, mono: Monomial) -> Combo:
     """Normal order ``g(m)`` applied to a canonical monomial.
 
@@ -322,7 +331,7 @@ def _apply_mono(presentation: Presentation, gen: str, m: int, mono: Monomial) ->
     return _freeze(acc)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _mode_mono(presentation: Presentation, umono: Monomial, n: int, vmono: Monomial) -> Combo:
     """The n-th mode of the state ``umono . vac`` applied to ``vmono . vac``.
 
@@ -406,15 +415,11 @@ def truncation_bound(u: FockVector, v: FockVector) -> int:
 
 
 def clear_caches() -> None:
-    """Empty every memo table: normal ordering, the mode action, the star
-    products of basis monomials (``zhu._star_mono``) and the truncated level
-    spans of ``zhu.build_zhu_context``."""
-    from .zhu import _star_mono, build_zhu_context
-
-    _apply_mono.cache_clear()
-    _mode_mono.cache_clear()
-    _star_mono.cache_clear()
-    build_zhu_context.cache_clear()
+    """Empty every table registered with :func:`memo`: normal ordering, the
+    mode action, ``zhu._star_mono`` and ``zhu.build_zhu_context``. The shared
+    built-in presentations are kept."""
+    for table in _MEMOS:
+        table.cache_clear()
 
 
 # ---------------------------------------------------------------------------

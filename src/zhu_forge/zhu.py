@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .combinatorics import binomial
 from .linalg import add_scaled, kernel_basis, reduce_vector, rref
@@ -36,6 +35,7 @@ from .voa import (
     enumerate_basis,
     format_element,
     format_monomial,
+    memo,
     mode_action,
     monomial_order,
     monomial_weight,
@@ -75,7 +75,7 @@ def star_product(u: FockVector, v: FockVector, level: int) -> FockVector:
     return FockVector(presentation, acc)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _star_mono(
     presentation: Presentation, umono: Monomial, vmono: Monomial, level: int
 ) -> Combo:
@@ -226,7 +226,7 @@ def spanning_vectors(presentation: Presentation, level: int, cutoff: int) -> lis
     return vectors
 
 
-@lru_cache(maxsize=None)
+@memo
 def build_zhu_context(presentation: Presentation, level: int, cutoff: int) -> ZhuContext:
     """Collect and row-reduce the truncated level ideal.
 

@@ -4,11 +4,16 @@ the traced run."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "bench" / "tracer.py"
+SRC = ROOT / "src"
 
 
 def _load_tracer():
@@ -36,3 +41,21 @@ def test_tracer_memos_have_cache_info(label, attr):
     from zhu_forge import voa
 
     assert getattr(voa, attr).cache_info().currsize >= 0
+
+
+def test_clear_caches_works_with_the_tracer_installed():
+    # The tracer has no uninstall, so it is installed in a child interpreter.
+    script = (
+        "import importlib.util, zhu_forge.cli\n"
+        "from zhu_forge import voa\n"
+        f"spec = importlib.util.spec_from_file_location('bench_tracer', {str(TRACER)!r})\n"
+        "tracer = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tracer)\n"
+        "tracer.Tracer('t').install()\n"
+        "voa.clear_caches()\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr

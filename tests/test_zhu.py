@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -133,11 +134,13 @@ def test_star_product_matches_defining_sum(data, presentation, level):
     assert star_product(u, v, level) == expected
 
 
-def test_equal_presentations_share_star_memo():
+def test_builtin_presentations_are_shared():
+    assert builtin_presentation("heisenberg") is HEIS
+    assert builtin_presentation("heisenberg", Fraction(1, 2)) is HEIS
     first = builtin_presentation("virasoro", Fraction(1, 2))
-    second = builtin_presentation("virasoro", Fraction(1, 2))
-    assert first is not second
-    assert first == second and hash(first) == hash(second)
+    second = builtin_presentation("virasoro", "1/2")
+    assert first is VIR and second is VIR
+    assert builtin_presentation("virasoro", 0) is builtin_presentation("virasoro", Fraction(0))
     modes = ((-3, "L"), (-2, "L"))
     star_product(mono(first, *modes), mono(first, (-2, "L")), 1)
     before = _star_mono.cache_info()
@@ -145,6 +148,15 @@ def test_equal_presentations_share_star_memo():
     after = _star_mono.cache_info()
     assert after.hits > before.hits
     assert after.misses == before.misses
+    voa.clear_caches()
+    assert builtin_presentation("virasoro", Fraction(1, 2)) is VIR
+
+
+def test_hand_built_copy_is_another_presentation():
+    copy = dataclasses.replace(VIR)
+    assert copy != VIR
+    with pytest.raises(ValueError):
+        star_product(mono(copy, (-2, "L")), mono(VIR, (-2, "L")), 0)
 
 
 # --- truncated contexts -----------------------------------------------------
