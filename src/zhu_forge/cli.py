@@ -2,8 +2,9 @@
 
 Subcommands: axioms, zhu, appendix, iso, dims, omega, reduce, parse. Exit
 codes: 0 all checks passed, 1 a check failed, 2 usage or configuration
-error. Reports are written as canonical JSON (stable bytes for a given
-configuration and seed); timings go to stderr.
+error, including a file that cannot be read or written. Reports are written
+as canonical JSON (stable bytes for a given configuration and seed); timings
+go to stderr.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .combinatorics import parse_rational
 from .modes import format_word, reduce_word
 from .parser import ParseError, parse_element, parse_uea
 from .report import ReportDocument, golden_compare
-from .suites import RunConfig, appendix_suite, check_appendix_ranges, run_suite
+from .suites import SUITE_NAMES, RunConfig, appendix_suite, check_appendix_ranges, run_suite
 from .voa import builtin_presentation, format_element
 from .zhu import an_dims, build_zhu_context, c2_dims
 
@@ -141,14 +142,11 @@ def _write_output(payload: bytes, args: argparse.Namespace) -> None:
 
 
 def _golden_code(payload: bytes, args: argparse.Namespace) -> int:
-    """0 without --golden or on a match, 1 on a mismatch, 2 if it is missing."""
+    """0 without --golden or on a match, 1 on a mismatch; a missing golden
+    file raises ``FileNotFoundError``."""
     if not args.golden:
         return 0
-    try:
-        same, diff = golden_compare(payload, args.golden)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    same, diff = golden_compare(payload, args.golden)
     if not same:
         print(f"golden mismatch:\n{diff}", file=sys.stderr)
         return 1
@@ -235,6 +233,15 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 2
     args = build_parser(defaults).parse_args(argv)
+    try:
+        return _run(args)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run a parsed command; exit code 0, 1 or 2 as in the module docstring."""
     started = time.time()
 
     if args.command == "parse":
@@ -280,14 +287,15 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     # Every suite subcommand, including dims and appendix, is validated here
-    # so that a bad value is a usage error (exit 2), not a failed check.
+    # so that a bad value is a usage error (exit 2), not a failed check. The
+    # command line runs dims and appendix itself, so they select no suite.
     try:
         config = RunConfig(
             voa=args.voa,
             central_charge=parse_rational(args.central_charge),
             level=args.level,
             cutoff=args.cutoff,
-            suites=(args.command,),
+            suites=(args.command,) if args.command in SUITE_NAMES else (),
             seed=args.seed,
         )
         if args.command == "appendix":

@@ -1,9 +1,10 @@
 """Exact scalar arithmetic shared by every other module.
 
-Scalars are :class:`fractions.Fraction` values throughout; nothing in the
-package touches floating point. The binomial helper extends the usual
-coefficient to arbitrary integer upper arguments via the falling factorial,
-which is what makes sums over binomials with negative upper entries exact.
+Scalars are exact ``int`` or :class:`fractions.Fraction` values (a stored
+combination converts its coefficients to Fraction); nothing in the package
+touches floating point. The binomial helper extends the usual coefficient
+to arbitrary integer upper arguments via the falling factorial, which is
+what makes sums over binomials with negative upper entries exact.
 """
 
 from __future__ import annotations

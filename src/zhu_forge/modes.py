@@ -37,6 +37,7 @@ from .voa import (
     mode_action,
     monomial_weight,
 )
+from .zhu import build_zhu_context, omega_subspace, star_product
 
 # A word: ((monomial, shift), ...). The empty word is the scalar 1.
 Word = tuple[tuple[Monomial, int], ...]
@@ -208,18 +209,10 @@ def expand_product_side(
     return UEAExpression(u.presentation, acc)
 
 
-def evaluate_expression(
-    expression: UEAExpression, x: FockVector, cutoff: int | None = None
-) -> FockVector:
-    """Apply an expression to a vector, factors acting right to left.
-
-    Evaluation is exact; ``cutoff`` only validates that the input vector
-    lies in the expected weight window.
-    """
+def evaluate_expression(expression: UEAExpression, x: FockVector) -> FockVector:
+    """Apply an expression to a vector exactly, factors acting right to left."""
     if expression.presentation != x.presentation:
         raise ValueError("expression and vector live over different presentations")
-    if cutoff is not None and x.max_weight() > cutoff:
-        raise ValueError(f"input vector exceeds weight window {cutoff}")
     presentation = expression.presentation
     total: dict[Monomial, Fraction] = {}
     for word, coeff in expression.terms.items():
@@ -256,16 +249,16 @@ def reordering_residual(
 
     word by word, keeping only words whose two shifts both lie in
     ``[-bound, bound]``. The result is the (expected zero) difference.
-    Requires ``depth + s >= 0``.
+    Requires ``depth >= 0`` and ``depth + s >= 0``.
     """
-    if depth + s < 0:
-        raise ValueError("hypothesis depth + s >= 0 violated")
+    _check_pair_hypothesis(s, depth)
     u._check_same(v)
     presentation = u.presentation
 
     margin = 2 * bound + abs(s) + abs(t) + depth + 4
     # Accumulate lhs - rhs in one dict; clipping is a projection, so it can
-    # be applied to the difference.
+    # be applied to the difference. The tails are built only up to the
+    # window's edge; the clip still trims the product side.
     acc: dict[Word, Fraction] = {}
     for j in range(depth + 1):
         c = binomial(-depth - s - 1, j)
@@ -273,7 +266,9 @@ def reordering_residual(
         add_scaled(acc, side.terms.items(), c)
 
     add_scaled(acc, word_expression(presentation, [(u, -s), (v, t)]).terms.items(), -1)
-    _add_pair_tails(acc, s, t, depth, u, v, margin, margin)
+    _add_pair_tails(
+        acc, s, t, depth, u, v, bound - max(s, t), bound - depth - 1 - max(0, s - t)
+    )
     kept = {w: c for w, c in acc.items() if all(-bound <= shift <= bound for _, shift in w)}
     return UEAExpression(presentation, kept)
 
@@ -296,11 +291,11 @@ def pair_expansion(
     carry filtration witnesses at suffix degree at most ``-(depth+1+t)`` and
     ``-(depth+1)`` respectively. ``right_bound=None`` discards both tails
     and returns the exact head; an integer retains tail terms whose right
-    factor shift is at most the bound. Requires ``depth + s >= 0`` and, for
-    a finite head, nonnegative weights (guaranteed here).
+    factor shift is at most the bound. Requires ``depth >= 0``,
+    ``depth + s >= 0`` and, for a finite head, nonnegative weights
+    (guaranteed here).
     """
-    if depth + s < 0:
-        raise ValueError("hypothesis depth + s >= 0 violated")
+    _check_pair_hypothesis(s, depth)
     u._check_same(v)
     presentation = u.presentation
     acc: dict[Word, Fraction] = {}
@@ -317,6 +312,13 @@ def pair_expansion(
     if right_bound is not None:
         _add_pair_tails(acc, s, t, depth, u, v, right_bound - t, right_bound - depth - 1)
     return UEAExpression(presentation, acc)
+
+
+def _check_pair_hypothesis(s: int, depth: int) -> None:
+    if depth < 0:
+        raise ValueError(f"depth {depth} is negative")
+    if depth + s < 0:
+        raise ValueError("hypothesis depth + s >= 0 violated")
 
 
 def _add_pair_tails(
@@ -608,8 +610,6 @@ def homomorphism_check(
     * the original word and the zero-mode of its reduction act identically
       on the kernel subspace of shifts above ``level``.
     """
-    from .zhu import build_zhu_context, omega_subspace, star_product
-
     states = basis_vectors(presentation, weight_bound)
     failures_product = []
     failures_commutator = []
@@ -650,16 +650,8 @@ def homomorphism_check(
                     )
                     break
 
-    doc = ReportDocument(
-        config={
-            "suite": "iso",
-            "voa": presentation.name,
-            "central_charge": presentation.central_charge,
-            "level": level,
-            "weight_bound": weight_bound,
-        }
-    )
     params = {"level": level, "weight_bound": weight_bound}
+    doc = ReportDocument.for_suite("iso", presentation, **params)
     doc.add(CheckRecord.from_failures("reduction_matches_star_product", params, failures_product))
     doc.add(CheckRecord.from_failures("commutator_modulo_ideal", params, failures_commutator))
     doc.add(CheckRecord.from_failures("action_on_kernel_subspace", params, failures_semantic))

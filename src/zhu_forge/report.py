@@ -3,7 +3,8 @@
 Reports serialize to canonical JSON: keys sorted, compact separators and
 rationals rendered as ``p/q`` strings. Records hold no volatile fields, so
 the same run gives the same bytes; golden comparison and the determinism
-checks operate on them.
+checks operate on them. Every suite over a presentation starts its report
+with :meth:`ReportDocument.for_suite`, the one place its header is built.
 """
 
 from __future__ import annotations
@@ -66,6 +67,19 @@ class ReportDocument:
 
     config: dict[str, Any] = field(default_factory=dict)
     checks: list[CheckRecord] = field(default_factory=list)
+
+    @classmethod
+    def for_suite(cls, suite: str, presentation, **params: Any) -> "ReportDocument":
+        """An empty report whose config echoes the suite name, the
+        presentation's name and central charge, and the run's parameters."""
+        return cls(
+            config={
+                "suite": suite,
+                "voa": presentation.name,
+                "central_charge": presentation.central_charge,
+                **params,
+            }
+        )
 
     def add(self, record: CheckRecord) -> None:
         self.checks.append(record)

@@ -1,9 +1,12 @@
 """Suite orchestration shared by the command line and the acceptance tests.
 
-Each suite function returns a :class:`ReportDocument`; :func:`run_suite`
-dispatches on a :class:`RunConfig` and merges the results. Zhu contexts come
-from the memoized :func:`zhu.build_zhu_context`, so each truncated span is
-built once per process whichever suite asks for it first.
+Each suite function returns a :class:`ReportDocument` whose header comes
+from :meth:`ReportDocument.for_suite`. :func:`run_suite` runs the four suites
+named in :data:`SUITE_NAMES` for a :class:`RunConfig` and merges their
+records; the ``appendix`` and ``dims`` subcommands take options of their own,
+so the command line runs them directly. Zhu contexts come from the memoized
+:func:`zhu.build_zhu_context`, so each truncated span is built once per
+process whichever suite asks for it first.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .modes import (
     reordering_residual,
     word_expression,
 )
-from .report import CheckRecord, DimensionTable, ReportDocument
+from .report import CheckRecord, ReportDocument
 from .voa import (
     FockVector,
     Presentation,
@@ -33,14 +36,13 @@ from .voa import (
 )
 from .zhu import (
     build_zhu_context,
-    c2_dims,
     inverse_system_check,
     omega_subspace,
     star_product,
     translation_row,
 )
 
-SUITE_NAMES = ("axioms", "zhu", "appendix", "iso", "dims", "omega")
+SUITE_NAMES = ("axioms", "zhu", "iso", "omega")
 
 
 @dataclass
@@ -75,15 +77,7 @@ def zhu_structure_suite(presentation: Presentation, level: int, cutoff: int) -> 
     ctx = build_zhu_context(presentation, level, cutoff)
     vac = FockVector.vacuum(presentation)
     basis = basis_vectors(presentation, cutoff)
-    doc = ReportDocument(
-        config={
-            "suite": "zhu",
-            "voa": presentation.name,
-            "central_charge": presentation.central_charge,
-            "level": level,
-            "cutoff": cutoff,
-        }
-    )
+    doc = ReportDocument.for_suite("zhu", presentation, level=level, cutoff=cutoff)
 
     def add(name: str, failures: list, extra: dict | None = None) -> None:
         params = {"level": level, "cutoff": cutoff}
@@ -177,7 +171,8 @@ def check_appendix_ranges(
 ) -> None:
     """Raise ``ValueError`` unless every range is nonempty, some ``s`` and
     depth in them satisfy ``depth + s >= 0`` (so that sampling can succeed),
-    the shift bound is nonnegative and at least one sample is drawn."""
+    no depth is negative (the identity's ``j``-sum would be empty), the
+    shift bound is nonnegative and at least one sample is drawn."""
     if shift_bound < 0:
         raise ValueError(f"shift bound {shift_bound} is negative")
     if operator_samples < 1:
@@ -190,6 +185,8 @@ def check_appendix_ranges(
             f"no depth N in {depth_range[0]}..{depth_range[1]} satisfies N + s >= 0 "
             f"for s in {s_range[0]}..{s_range[1]}"
         )
+    if depth_range[0] < 0:
+        raise ValueError(f"depth N in {depth_range[0]}..{depth_range[1]} is negative")
 
 
 def appendix_suite(
@@ -210,18 +207,15 @@ def appendix_suite(
     ``N + s >= 0`` exists; see :func:`check_appendix_ranges`.
     """
     check_appendix_ranges(s_range, t_range, depth_range, shift_bound, operator_samples)
-    doc = ReportDocument(
-        config={
-            "suite": "appendix",
-            "voa": presentation.name,
-            "central_charge": presentation.central_charge,
-            "s": list(s_range),
-            "t": list(t_range),
-            "N": list(depth_range),
-            "shift_bound": shift_bound,
-            "samples": operator_samples,
-            "seed": seed,
-        }
+    doc = ReportDocument.for_suite(
+        "appendix",
+        presentation,
+        s=list(s_range),
+        t=list(t_range),
+        N=list(depth_range),
+        shift_bound=shift_bound,
+        samples=operator_samples,
+        seed=seed,
     )
     gen_label, gen_weight = presentation.generators[0]
     u = FockVector.from_monomial(presentation, ((-gen_weight, gen_label),))
@@ -286,14 +280,8 @@ def deep_tail_witness_suite(
     ``(n+1, n+1, -2n-2)`` of every basis pair must be witnessed at
     filtration level ``-(n+1)``.
     """
-    doc = ReportDocument(
-        config={
-            "suite": "deep_tail_witness",
-            "voa": presentation.name,
-            "central_charge": presentation.central_charge,
-            "levels": list(levels),
-            "weight_bound": weight_bound,
-        }
+    doc = ReportDocument.for_suite(
+        "deep_tail_witness", presentation, levels=list(levels), weight_bound=weight_bound
     )
     basis = basis_vectors(presentation, weight_bound)
     for level in levels:
@@ -309,40 +297,6 @@ def deep_tail_witness_suite(
         params = {"level": level, "weight_bound": weight_bound}
         doc.add(CheckRecord.from_failures("circle_expansion_witnessed", params, failures))
     return doc
-
-
-def dims_suite(
-    presentation: Presentation, level: int, cutoff: int
-) -> tuple[ReportDocument, dict[str, DimensionTable]]:
-    """Dimension tables for the truncated quotient and the C2 quotient."""
-    quotient = build_zhu_context(presentation, level, cutoff).dimension_table()
-    c2 = c2_dims(presentation, cutoff)
-    doc = ReportDocument(
-        config={
-            "suite": "dims",
-            "voa": presentation.name,
-            "central_charge": presentation.central_charge,
-            "level": level,
-            "cutoff": cutoff,
-        }
-    )
-    doc.add(
-        CheckRecord(
-            name="quotient_dimensions",
-            params={"level": level, "cutoff": cutoff},
-            status="pass",
-            witness=quotient.to_jsonable(),
-        )
-    )
-    doc.add(
-        CheckRecord(
-            name="c2_dimensions",
-            params={"cutoff": cutoff},
-            status="pass",
-            witness=c2.to_jsonable(),
-        )
-    )
-    return doc, {"quotient": quotient, "c2": c2}
 
 
 def run_suite(config: RunConfig) -> tuple[int, ReportDocument]:
@@ -363,12 +317,8 @@ def run_suite(config: RunConfig) -> tuple[int, ReportDocument]:
             doc = axiom_suite(presentation, config.cutoff, SamplingPlan(seed=config.seed))
         elif suite == "zhu":
             doc = zhu_structure_suite(presentation, config.level, config.cutoff)
-        elif suite == "appendix":
-            doc = appendix_suite(presentation, seed=config.seed)
         elif suite == "iso":
             doc = homomorphism_check(presentation, config.level, config.cutoff)
-        elif suite == "dims":
-            doc, _tables = dims_suite(presentation, config.level, config.cutoff)
         elif suite == "omega":
             _vectors, doc = omega_subspace(presentation, config.level, config.cutoff)
         else:  # pragma: no cover - guarded by RunConfig

@@ -30,6 +30,7 @@ from typing import Iterator
 
 from .combinatorics import binomial
 from .linalg import Combination, add_scaled
+from .report import CheckRecord, ReportDocument
 
 # A basis monomial: ((mode, generator), ...) sorted ascending, acting on the
 # vacuum. The empty tuple is the vacuum itself. Tuple comparison is the
@@ -38,15 +39,11 @@ Monomial = tuple[tuple[int, str], ...]
 
 # A polynomial in the two mode indices (m, n) of a bracket, as a tuple of
 # ((deg_m, deg_n), coefficient) pairs.
-IndexPolynomial = tuple[tuple[tuple[int, int], Fraction], ...]
+IndexPolynomial = tuple[tuple[tuple[int, int], Fraction | int], ...]
 
 
-def _poly(*terms: tuple[tuple[int, int], Fraction | int]) -> IndexPolynomial:
-    return tuple(((dm, dn), Fraction(c)) for (dm, dn), c in terms)
-
-
-def _eval_poly(poly: IndexPolynomial, m: int, n: int) -> Fraction:
-    total = Fraction(0)
+def _eval_poly(poly: IndexPolynomial, m: int, n: int) -> Fraction | int:
+    total = 0
     for (dm, dn), c in poly:
         total += c * m**dm * n**dn
     return total
@@ -148,7 +145,7 @@ def _intern_builtin(name: str, c: Fraction | None) -> Presentation:
             name="heisenberg",
             generators=(("a", 1),),
             brackets=(
-                (("a", "a"), (BracketTerm(poly=_poly(((1, 0), 1)), target=None, kronecker=0),)),
+                (("a", "a"), (BracketTerm(poly=(((1, 0), 1),), target=None, kronecker=0),)),
             ),
             central_charge=Fraction(1),
             conformal_recipe=((mono_aa, Fraction(1, 2)),),
@@ -156,9 +153,9 @@ def _intern_builtin(name: str, c: Fraction | None) -> Presentation:
         )
     if name == "virasoro":
         vir_terms = (
-            BracketTerm(poly=_poly(((1, 0), 1), ((0, 1), -1)), target="L"),
+            BracketTerm(poly=(((1, 0), 1), ((0, 1), -1)), target="L"),
             BracketTerm(
-                poly=_poly(((3, 0), Fraction(1, 12)), ((1, 0), Fraction(-1, 12))),
+                poly=(((3, 0), Fraction(1, 12)), ((1, 0), Fraction(-1, 12))),
                 target=None,
                 kronecker=0,
                 uses_charge=True,
@@ -307,11 +304,11 @@ def _apply_mono(presentation: Presentation, gen: str, m: int, mono: Monomial) ->
     threshold = presentation.threshold_of(gen)
     if not mono:
         if m < threshold:
-            return ((((m, gen),), Fraction(1)),)
+            return ((((m, gen),), 1),)
         return ()
     head = mono[0]
     if m < threshold and (m, gen) <= head:
-        return (((m, gen),) + mono, Fraction(1)),
+        return (((m, gen),) + mono, 1),
     head_m, head_g = head
     tail = mono[1:]
     acc: dict[Monomial, Fraction] = {}
@@ -342,7 +339,7 @@ def _mode_mono(presentation: Presentation, umono: Monomial, n: int, vmono: Monom
     negative weight act as zero.
     """
     if not umono:
-        return ((vmono, Fraction(1)),) if n == -1 else ()
+        return ((vmono, 1),) if n == -1 else ()
     head_m, head_g = umono[0]
     gen_weight = presentation.weight_of(head_g)
     if len(umono) == 1 and head_m == -gen_weight:
@@ -465,7 +462,7 @@ def presentation_checks(presentation: Presentation) -> list[tuple[str, bool, obj
             coeff = _eval_poly(term.poly, mi, ni)
             if coeff:
                 key = (term.target, term.uses_charge)
-                out[key] = out.get(key, Fraction(0)) + coeff
+                out[key] = out.get(key, 0) + coeff
         return out
 
     for g in presentation.labels:
@@ -474,7 +471,7 @@ def presentation_checks(presentation: Presentation) -> list[tuple[str, bool, obj
                 for n in range(-4, 5):
                     total = bracket_value(g, h, m, n)
                     for key, coeff in bracket_value(h, g, n, m).items():
-                        total[key] = total.get(key, Fraction(0)) + coeff
+                        total[key] = total.get(key, 0) + coeff
                     if any(total.values()) and ok:
                         ok = False
                         witness = {"g": g, "h": h, "m": m, "n": n}
@@ -535,22 +532,21 @@ def _jacobi_instance(
     return FockVector(presentation, lhs), FockVector(presentation, rhs)
 
 
-def axiom_suite(presentation: Presentation, max_weight: int, plan: SamplingPlan | None = None):
+def axiom_suite(
+    presentation: Presentation, max_weight: int, plan: SamplingPlan | None = None
+) -> ReportDocument:
     """Exact checks of the vacuum, grading, translation, Virasoro-bracket and
     (sampled) Jacobi axioms on the weight window ``<= max_weight``.
 
-    Returns a :class:`zhu_forge.report.ReportDocument`; every failed record
-    carries the witness tuple that reproduces it.
+    Every failed record carries the witness tuple that reproduces it.
     """
-    from .report import CheckRecord, ReportDocument
-
     plan = plan or SamplingPlan()
     omega = presentation.conformal_vector()
     basis = basis_vectors(presentation, max_weight)
-    checks: list[CheckRecord] = []
+    doc = ReportDocument.for_suite("axioms", presentation, cutoff=max_weight, seed=plan.seed)
 
     def record(name: str, params: dict, failures: list) -> None:
-        checks.append(CheckRecord.from_failures(name, params, failures))
+        doc.add(CheckRecord.from_failures(name, params, failures))
 
     failures = []
     for name, ok, witness in presentation_checks(presentation):
@@ -638,16 +634,4 @@ def axiom_suite(presentation: Presentation, max_weight: int, plan: SamplingPlan 
         {"cutoff": max_weight, "samples": plan.jacobi_samples, "seed": plan.seed},
         failures,
     )
-
-    doc = ReportDocument(
-        config={
-            "suite": "axioms",
-            "voa": presentation.name,
-            "central_charge": presentation.central_charge,
-            "cutoff": max_weight,
-            "seed": plan.seed,
-        }
-    )
-    for rec in checks:
-        doc.add(rec)
     return doc

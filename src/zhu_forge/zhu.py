@@ -15,7 +15,7 @@ holds the row-reduced span of the spanning vectors whose components all fit
 under a weight cutoff. That is an inner approximation of the ideal's
 intersection with the weight window: whenever a reduction returns zero the
 membership is certain, while a nonzero reduction may still be in the ideal.
-Overflowing products raise instead of truncating silently.
+Reducing a vector above the cutoff raises instead of truncating silently.
 """
 
 from __future__ import annotations
@@ -164,12 +164,6 @@ class ZhuContext:
         )
         return FockVector(self.presentation, reduced)
 
-    def multiply(self, u: FockVector, v: FockVector) -> FockVector:
-        """Star product followed by reduction; raises on weight overflow."""
-        product = star_product(u, v, self.level)
-        self.check_weight(product)
-        return self.reduce(product)
-
     def dimension_table(self) -> DimensionTable:
         """Non-pivot monomial counts per weight: an upper bound on the graded
         dimensions of the weight filtration of the quotient."""
@@ -281,16 +275,8 @@ def inverse_system_check(presentation: Presentation, level: int, cutoff: int) ->
             failures.append(
                 {"vector": format_element(row), "residue": format_element(residue)}
             )
-    doc = ReportDocument(
-        config={
-            "suite": "inverse_system",
-            "voa": presentation.name,
-            "central_charge": presentation.central_charge,
-            "level": level,
-            "cutoff": cutoff,
-        }
-    )
     params = {"level": level, "cutoff": cutoff}
+    doc = ReportDocument.for_suite("inverse_system", presentation, **params)
     doc.add(CheckRecord.from_failures("ideal_containment", params, failures))
     return doc
 
@@ -359,15 +345,12 @@ def omega_subspace(
         and all(mono in expected_monos for mono in got_monos)
     )
 
-    doc = ReportDocument(
-        config={
-            "suite": "omega",
-            "voa": presentation.name,
-            "central_charge": presentation.central_charge,
-            "level": level,
-            "cutoff": cutoff,
-            "quantification": f"basis states and shifts truncated at weight {cutoff}",
-        }
+    doc = ReportDocument.for_suite(
+        "omega",
+        presentation,
+        level=level,
+        cutoff=cutoff,
+        quantification=f"basis states and shifts truncated at weight {cutoff}",
     )
     doc.add(
         CheckRecord(

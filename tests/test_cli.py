@@ -250,6 +250,7 @@ def test_usage_error_exit_code():
         ["appendix", "--s", "0..0", "--N", "-3..-1"],
         ["appendix", "--shift-bound", "-1"],
         ["appendix", "--samples", "-3"],
+        ["appendix", "--s", "1..1", "--t", "0..0", "--N", "-1..-1", "--samples", "3"],
     ],
     ids=[
         "dims-cutoff",
@@ -258,11 +259,38 @@ def test_usage_error_exit_code():
         "appendix-no-valid-depth",
         "appendix-negative-shift-bound",
         "appendix-no-samples",
+        "appendix-negative-depth",
     ],
 )
 def test_dims_and_appendix_usage_errors_exit_2(argv):
     result = run_cli(*argv, expect=2)
     assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dims", "--cutoff", "2", "--out", "/nonexistent/d.csv"],
+        ["zhu", "--cutoff", "2", "--span-out", "/nonexistent/s.json"],
+        [
+            "reduce",
+            "--expr",
+            "J[0](a[-1]vac)J[0](a[-1]vac)",
+            "--mod-level",
+            "1",
+            "--trace",
+            "/nonexistent/t.json",
+        ],
+        ["omega", "--cutoff", "2", "--golden", "."],
+    ],
+    ids=["dims-out", "zhu-span-out", "reduce-trace", "omega-golden-directory"],
+)
+def test_unusable_file_paths_exit_2(argv):
+    # A file that cannot be written or read is a usage error, not a failed
+    # check (exit 1) or a traceback.
+    result = run_cli(*argv, expect=2)
+    assert result.stderr.splitlines()[-1].startswith("error:")
     assert "Traceback" not in result.stderr
 
 

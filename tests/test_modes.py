@@ -214,12 +214,6 @@ def test_evaluate_matches_direct_composition():
     assert evaluate_expression(word, x) == direct
 
 
-def test_evaluate_checks_window():
-    expr = mode_symbol(A, 0)
-    with pytest.raises(ValueError):
-        evaluate_expression(expr, mono(HEIS, (-4, "a")), cutoff=3)
-
-
 # --- reordering identity -----------------------------------------------------------
 
 
@@ -230,6 +224,10 @@ def test_reordering_residual_base_case():
 def test_reordering_residual_requires_hypothesis():
     with pytest.raises(ValueError):
         reordering_residual(-3, 0, 2, A, A, 6)
+    # depth + s >= 0 holds, but the j-sum over range(depth + 1) is empty.
+    for check in (reordering_residual, pair_expansion):
+        with pytest.raises(ValueError, match="negative"):
+            check(1, 0, -1, A, A, 6)
 
 
 def test_reordering_residual_sample_grid():
@@ -329,6 +327,24 @@ def test_pair_expansion_operator_identity():
                 pair_expansion(s, t, depth, u, v, right_bound=x.max_weight()), x
             )
             assert lhs == rhs, (s, t, depth)
+
+
+def test_pair_expansion_tails_reach_the_right_bound():
+    # u and v differ, so a two-letter word's right factor names its family:
+    # J_{k+t}(v) for the k-tail, J_{depth+1+i}(u) for the reordered tail.
+    u = mono(HEIS, (-1, "a"))
+    v = mono(HEIS, (-2, "a"))
+    for s, t, depth, right_bound in [(0, 0, 2, 9), (1, -1, 1, 6), (-1, 2, 3, 8)]:
+        expansion = pair_expansion(s, t, depth, u, v, right_bound=right_bound)
+        top = {}
+        for word in expansion.terms:
+            if len(word) == 2:
+                mono_right, shift = word[-1]
+                top[mono_right] = max(top.get(mono_right, shift), shift)
+        assert top == {
+            ((-2, "a"),): right_bound,
+            ((-1, "a"),): right_bound,
+        }, (s, t, depth)
 
 
 def test_pair_expansion_tail_shifts_are_deep():

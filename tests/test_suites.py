@@ -8,7 +8,6 @@ from zhu_forge.suites import (
     RunConfig,
     appendix_suite,
     deep_tail_witness_suite,
-    dims_suite,
     run_suite,
     zhu_structure_suite,
 )
@@ -22,6 +21,10 @@ def test_run_config_validation():
         RunConfig(level=-1)
     with pytest.raises(ValueError):
         RunConfig(suites=("axioms", "nope"))
+    # The command line runs dims and appendix itself, with their own options.
+    for suite in ("dims", "appendix"):
+        with pytest.raises(ValueError, match="unknown suites"):
+            RunConfig(suites=(suite,))
 
 
 def test_run_suite_merges_and_passes():
@@ -30,16 +33,15 @@ def test_run_suite_merges_and_passes():
             voa="heisenberg",
             level=1,
             cutoff=5,
-            suites=("zhu", "dims", "omega"),
+            suites=("zhu", "omega"),
             seed=2,
         )
     )
     assert code == 0
     names = {record.name for record in doc.sorted_checks()}
     assert any(name.startswith("zhu/") for name in names)
-    assert any(name.startswith("dims/") for name in names)
     assert any(name.startswith("omega/") for name in names)
-    assert doc.config["suites"] == ["dims", "omega", "zhu"]
+    assert doc.config["suites"] == ["omega", "zhu"]
 
 
 def test_run_suite_is_deterministic():
@@ -70,13 +72,6 @@ def test_appendix_suite_small_grid():
 def test_deep_tail_witness_suite_passes():
     doc = deep_tail_witness_suite(VIR, levels=(0, 1), weight_bound=3)
     assert doc.passed
-
-
-def test_dims_suite_returns_tables():
-    doc, tables = dims_suite(HEIS, 0, 4)
-    assert doc.passed
-    assert tables["quotient"].rows == [(0, 1), (1, 1), (2, 1), (3, 1), (4, 1)]
-    assert tables["c2"].rows[0] == (0, 1)
 
 
 def test_build_zhu_context_is_memoized():

@@ -18,7 +18,7 @@ from zhu_forge import (
     truncation_bound,
 )
 from zhu_forge.combinatorics import binomial
-from zhu_forge.voa import BracketTerm, _poly, presentation_checks
+from zhu_forge.voa import BracketTerm, presentation_checks
 
 HEIS = builtin_presentation("heisenberg")
 VIR = builtin_presentation("virasoro", Fraction(1, 2))
@@ -271,7 +271,7 @@ def test_axiom_suite_catches_tampered_bracket():
         brackets=(
             (
                 ("L", "L"),
-                (BracketTerm(poly=_poly(((1, 0), 1), ((0, 1), -1)), target="L"),),
+                (BracketTerm(poly=(((1, 0), 1), ((0, 1), -1)), target="L"),),
             ),
         ),
     )
