@@ -36,7 +36,6 @@ from .voa import (
     FockVector,
     Monomial,
     Presentation,
-    SamplingPlan,
     apply_generator_mode,
     axiom_suite,
     basis_vectors,
@@ -76,7 +75,6 @@ __all__ = [
     "Presentation",
     "FockVector",
     "Monomial",
-    "SamplingPlan",
     "builtin_presentation",
     "enumerate_basis",
     "basis_vectors",

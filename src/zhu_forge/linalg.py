@@ -144,7 +144,7 @@ def rref(rows: Iterable[Row], order: Callable) -> tuple[list[Row], dict]:
     return out_rows, pivots
 
 
-def reduce_vector(vec: Row, rows: list[Row], pivots: dict, order: Callable) -> Row:
+def reduce_vector(vec: Row, rows: list[Row], pivots: dict) -> Row:
     """Subtract the projection of ``vec`` onto the RREF row space."""
     out = dict(vec)
     for lead, idx in pivots.items():

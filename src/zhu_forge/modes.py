@@ -21,7 +21,7 @@ arguments or semantically through :func:`evaluate_expression`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .combinatorics import binomial
@@ -373,11 +373,7 @@ class FiltrationWitness:
     suffix_degree: int
 
     def to_jsonable(self) -> dict:
-        return {
-            "word": format_word(self.word),
-            "position": self.position,
-            "suffix_degree": self.suffix_degree,
-        }
+        return {**asdict(self), "word": format_word(self.word)}
 
 
 def find_witness(word: Word, level: int) -> FiltrationWitness | None:
@@ -428,13 +424,6 @@ class DiscardRecord:
     position: int
     min_suffix_shift: int  # every discarded word's right factor shift is >= this
 
-    def to_jsonable(self) -> dict:
-        return {
-            "family": self.family,
-            "position": self.position,
-            "min_suffix_shift": self.min_suffix_shift,
-        }
-
 
 @dataclass(frozen=True)
 class ReductionStep:
@@ -447,15 +436,7 @@ class ReductionStep:
     discarded: tuple[DiscardRecord, ...]
 
     def to_jsonable(self) -> dict:
-        return {
-            "word": format_word(self.word),
-            "position": self.position,
-            "s": self.s,
-            "t": self.t,
-            "depth": self.depth,
-            "produced_words": self.produced_words,
-            "discarded": [d.to_jsonable() for d in self.discarded],
-        }
+        return {**asdict(self), "word": format_word(self.word)}
 
 
 @dataclass

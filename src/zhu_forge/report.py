@@ -129,9 +129,6 @@ class DimensionTable:
         lines.extend(f"{idx},{dim}" for idx, dim in self.rows)
         return "\n".join(lines) + "\n"
 
-    def to_jsonable(self) -> dict[str, Any]:
-        return {"kind": self.kind, "rows": [[idx, dim] for idx, dim in self.rows]}
-
 
 def golden_compare(actual: bytes | str, golden_path: str | Path) -> tuple[bool, str]:
     """Byte-compare canonical output against a committed golden file.

@@ -1,10 +1,9 @@
-"""Suite orchestration shared by the command line and the acceptance tests.
+"""Suites that check several modules at once.
 
 Each suite function returns a :class:`ReportDocument` whose header comes
-from :meth:`ReportDocument.for_suite`. :func:`run_suite` runs the four suites
-named in :data:`SUITE_NAMES` for a :class:`RunConfig` and merges their
-records; the ``appendix`` and ``dims`` subcommands take options of their own,
-so the command line runs them directly. Zhu contexts come from the memoized
+from :meth:`ReportDocument.for_suite`. The command line picks the suite for
+each subcommand itself (``cli.SUITES``), and the acceptance tests call these
+functions directly. Zhu contexts come from the memoized
 :func:`zhu.build_zhu_context`, so each truncated span is built once per
 process whichever suite asks for it first.
 """
@@ -12,57 +11,18 @@ process whichever suite asks for it first.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .modes import (
     evaluate_expression,
     expand_product_side,
     filtration_report,
-    homomorphism_check,
     pair_expansion,
     reordering_residual,
     word_expression,
 )
 from .report import CheckRecord, ReportDocument
-from .voa import (
-    FockVector,
-    Presentation,
-    SamplingPlan,
-    axiom_suite,
-    basis_vectors,
-    builtin_presentation,
-    format_element,
-)
-from .zhu import (
-    build_zhu_context,
-    inverse_system_check,
-    omega_subspace,
-    star_product,
-    translation_row,
-)
-
-SUITE_NAMES = ("axioms", "zhu", "iso", "omega")
-
-
-@dataclass
-class RunConfig:
-    voa: str = "heisenberg"
-    central_charge: Fraction = Fraction(1, 2)
-    level: int = 0
-    cutoff: int = 6
-    suites: tuple[str, ...] = ("axioms",)
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.level < 0 or self.cutoff < 0:
-            raise ValueError("level and cutoff must be nonnegative")
-        unknown = set(self.suites) - set(SUITE_NAMES)
-        if unknown:
-            raise ValueError(f"unknown suites: {sorted(unknown)}")
-
-    def presentation(self) -> Presentation:
-        return builtin_presentation(self.voa, self.central_charge)
+from .voa import FockVector, Presentation, basis_vectors, format_element
+from .zhu import build_zhu_context, inverse_system_check, star_product, translation_row
 
 
 def zhu_structure_suite(presentation: Presentation, level: int, cutoff: int) -> ReportDocument:
@@ -298,37 +258,3 @@ def deep_tail_witness_suite(
         doc.add(CheckRecord.from_failures("circle_expansion_witnessed", params, failures))
     return doc
 
-
-def run_suite(config: RunConfig) -> tuple[int, ReportDocument]:
-    """Run the selected suites; exit code 0 iff every check passed."""
-    presentation = config.presentation()
-    merged = ReportDocument(
-        config={
-            "voa": config.voa,
-            "central_charge": config.central_charge,
-            "level": config.level,
-            "cutoff": config.cutoff,
-            "seed": config.seed,
-            "suites": sorted(config.suites),
-        }
-    )
-    for suite in sorted(config.suites):
-        if suite == "axioms":
-            doc = axiom_suite(presentation, config.cutoff, SamplingPlan(seed=config.seed))
-        elif suite == "zhu":
-            doc = zhu_structure_suite(presentation, config.level, config.cutoff)
-        elif suite == "iso":
-            doc = homomorphism_check(presentation, config.level, config.cutoff)
-        elif suite == "omega":
-            _vectors, doc = omega_subspace(presentation, config.level, config.cutoff)
-        else:  # pragma: no cover - guarded by RunConfig
-            raise ValueError(suite)
-        for record in doc.sorted_checks():
-            prefixed = CheckRecord(
-                name=f"{suite}/{record.name}",
-                params=record.params,
-                status=record.status,
-                witness=record.witness,
-            )
-            merged.add(prefixed)
-    return (0 if merged.passed else 1), merged

@@ -424,23 +424,9 @@ def clear_caches() -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SamplingPlan:
-    """Deterministic sampling knobs for the axiom suite.
-
-    The Jacobi identity is quantified over all states and integer triples,
-    which is infeasible; instead ``jacobi_samples`` instances are drawn with
-    the given seed from basis pairs of weight at most ``pair_weight`` and
-    index triples bounded by ``index_bound``, each applied to a basis vector
-    inside the suite's weight window. The vacuum, grading and bracket checks
-    are exhaustive on the window; the translation check is exhaustive on the
-    ``pair_weight`` window.
-    """
-
-    seed: int = 0
-    pair_weight: int = 4
-    index_bound: int = 3
-    jacobi_samples: int = 150
+# Sampling bounds of :func:`axiom_suite`: state weight and mode index.
+PAIR_WEIGHT = 4
+INDEX_BOUND = 3
 
 
 def presentation_checks(presentation: Presentation) -> list[tuple[str, bool, object]]:
@@ -533,17 +519,23 @@ def _jacobi_instance(
 
 
 def axiom_suite(
-    presentation: Presentation, max_weight: int, plan: SamplingPlan | None = None
+    presentation: Presentation, max_weight: int, seed: int = 0, jacobi_samples: int = 150
 ) -> ReportDocument:
     """Exact checks of the vacuum, grading, translation, Virasoro-bracket and
     (sampled) Jacobi axioms on the weight window ``<= max_weight``.
 
-    Every failed record carries the witness tuple that reproduces it.
+    The Jacobi identity is quantified over all states and integer triples,
+    which is infeasible; instead ``jacobi_samples`` instances are drawn with
+    the given seed from basis pairs of weight at most :data:`PAIR_WEIGHT` and
+    index triples bounded by :data:`INDEX_BOUND`, each applied to a basis
+    vector inside the window. The vacuum, grading and bracket checks are
+    exhaustive on the window; the translation check is exhaustive on the
+    :data:`PAIR_WEIGHT` window. Every failed record carries the witness
+    tuple that reproduces it.
     """
-    plan = plan or SamplingPlan()
     omega = presentation.conformal_vector()
     basis = basis_vectors(presentation, max_weight)
-    doc = ReportDocument.for_suite("axioms", presentation, cutoff=max_weight, seed=plan.seed)
+    doc = ReportDocument.for_suite("axioms", presentation, cutoff=max_weight, seed=seed)
 
     def record(name: str, params: dict, failures: list) -> None:
         doc.add(CheckRecord.from_failures(name, params, failures))
@@ -577,10 +569,10 @@ def axiom_suite(
 
     # Translation: (L(-1)u)_n = -n u_{n-1} as operators on the window.
     failures = []
-    small = basis_vectors(presentation, min(max_weight, plan.pair_weight))
+    small = basis_vectors(presentation, min(max_weight, PAIR_WEIGHT))
     for u in small:
         lu = mode_action(omega, 0, u)
-        for n in range(-plan.index_bound, plan.index_bound + 1):
+        for n in range(-INDEX_BOUND, INDEX_BOUND + 1):
             for x in small:
                 got = mode_action(lu, n, x)
                 want = -n * mode_action(u, n - 1, x)
@@ -588,13 +580,13 @@ def axiom_suite(
                     failures.append(
                         {"u": format_element(u), "n": n, "x": format_element(x)}
                     )
-    record("translation_covariance", {"cutoff": max_weight, "bound": plan.index_bound}, failures)
+    record("translation_covariance", {"cutoff": max_weight, "bound": INDEX_BOUND}, failures)
 
     # Virasoro bracket with central term, via omega modes.
     failures = []
     c = presentation.central_charge
-    for m in range(-plan.index_bound, plan.index_bound + 1):
-        for n in range(-plan.index_bound, plan.index_bound + 1):
+    for m in range(-INDEX_BOUND, INDEX_BOUND + 1):
+        for n in range(-INDEX_BOUND, INDEX_BOUND + 1):
             for x in basis:
                 lm = lambda k, y: mode_action(omega, k + 1, y)  # noqa: E731
                 got = lm(m, lm(n, x)) - lm(n, lm(m, x))
@@ -603,14 +595,14 @@ def axiom_suite(
                     want = want + Fraction(m**3 - m, 12) * c * x
                 if got != want:
                     failures.append({"m": m, "n": n, "x": format_element(x)})
-    record("virasoro_bracket", {"cutoff": max_weight, "bound": plan.index_bound}, failures)
+    record("virasoro_bracket", {"cutoff": max_weight, "bound": INDEX_BOUND}, failures)
 
     # Jacobi identity on sampled instances.
     failures = []
-    rng = random.Random(plan.seed)
-    pool = basis_vectors(presentation, min(max_weight, plan.pair_weight))
-    b = plan.index_bound
-    for _ in range(plan.jacobi_samples):
+    rng = random.Random(seed)
+    pool = basis_vectors(presentation, min(max_weight, PAIR_WEIGHT))
+    b = INDEX_BOUND
+    for _ in range(jacobi_samples):
         u = pool[rng.randrange(len(pool))]
         v = pool[rng.randrange(len(pool))]
         m = rng.randint(-b, b)
@@ -631,7 +623,7 @@ def axiom_suite(
             )
     record(
         "jacobi_sampled",
-        {"cutoff": max_weight, "samples": plan.jacobi_samples, "seed": plan.seed},
+        {"cutoff": max_weight, "samples": jacobi_samples, "seed": seed},
         failures,
     )
     return doc

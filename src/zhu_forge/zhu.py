@@ -156,12 +156,7 @@ class ZhuContext:
         if x.presentation != self.presentation:
             raise ValueError("vector belongs to a different presentation")
         self.check_weight(x)
-        reduced = reduce_vector(
-            x.terms,
-            [row.terms for row in self.rows],
-            self.pivots,
-            order=monomial_order,
-        )
+        reduced = reduce_vector(x.terms, [row.terms for row in self.rows], self.pivots)
         return FockVector(self.presentation, reduced)
 
     def dimension_table(self) -> DimensionTable:
@@ -301,16 +296,12 @@ def omega_subspace(
         wv = v.max_weight()
         for k in range(level + 1, cutoff + 1):
             n = wv - 1 + k
-            images: dict[int, dict[int, Fraction]] = {}
+            # One constraint row per output monomial.
+            by_output: dict[int, dict[int, Fraction]] = {}
             for mono in flat_monos:
                 out = mode_action(v, n, FockVector.from_monomial(presentation, mono))
                 for omono, coeff in out.terms.items():
-                    images.setdefault(index[mono], {})[index[omono]] = coeff
-            # One constraint row per output monomial.
-            by_output: dict[int, dict[int, Fraction]] = {}
-            for col, outvec in images.items():
-                for out_idx, coeff in outvec.items():
-                    by_output.setdefault(out_idx, {})[col] = coeff
+                    by_output.setdefault(index[omono], {})[index[mono]] = coeff
             constraints.extend(by_output.values())
 
     kernel = kernel_basis(constraints, len(flat_monos))
@@ -328,7 +319,7 @@ def omega_subspace(
         n = v.max_weight() - 1
         for x in vectors:
             image = mode_action(v, n, x)
-            if reduce_vector(image.terms, kernel_rows, kernel_pivots, monomial_order):
+            if reduce_vector(image.terms, kernel_rows, kernel_pivots):
                 failures.append({"v": format_element(v), "x": format_element(x)})
                 break
         if failures:

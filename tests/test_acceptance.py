@@ -15,7 +15,6 @@ from zhu_forge import (
     CheckRecord,
     FockVector,
     ReportDocument,
-    SamplingPlan,
     axiom_suite,
     basic_circle_product,
     basic_star_product,
@@ -74,8 +73,8 @@ def _merge(name: str, docs: list[ReportDocument]) -> ReportDocument:
 
 
 def criterion_1_axioms() -> ReportDocument:
-    plan = SamplingPlan(seed=SEED, pair_weight=4, index_bound=3, jacobi_samples=150)
-    return _merge("axioms", [axiom_suite(P, 6, plan) for P in AXIOM_PRESENTATIONS])
+    docs = [axiom_suite(P, 6, seed=SEED, jacobi_samples=150) for P in AXIOM_PRESENTATIONS]
+    return _merge("axioms", docs)
 
 
 def criterion_2_level_zero_products() -> ReportDocument:

@@ -231,6 +231,44 @@ def test_appendix_range_flags():
     assert doc["summary"]["fail"] == 0
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["axioms", "--cutoff", "5", "--seed", "3"], "report_axioms_virasoro_half_w5_seed3.json"),
+        (["zhu", "--level", "1", "--cutoff", "6"], "report_zhu_virasoro_half_n1_w6.json"),
+        (["iso", "--level", "1", "--cutoff", "5"], "report_iso_virasoro_half_n1_w5.json"),
+        (["omega", "--level", "1", "--cutoff", "6"], "report_omega_virasoro_half_n1_w6.json"),
+    ],
+    ids=["axioms", "zhu", "iso", "omega"],
+)
+def test_suite_report_golden(argv, golden):
+    # Pins the merged report of each suite subcommand, header included.
+    run_cli(
+        *argv, "--voa", "virasoro", "--central-charge", "1/2", "--golden", str(GOLDEN / golden)
+    )
+
+
+REDUCE = ["reduce", "--expr", "J[0](a[-1]vac)J[0](a[-1]vac)", "--mod-level", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*REDUCE, "--out", "{tmp}/report.txt"],
+        ["parse", "--expr", "vac", "--golden", "{tmp}/report.json"],
+        ["parse", "--expr", "vac", "--cutoff", "2"],
+        [*REDUCE, "--seed", "1"],
+    ],
+    ids=["reduce-out", "parse-golden", "parse-cutoff", "reduce-seed"],
+)
+def test_parse_and_reduce_reject_suite_flags(argv, tmp_path):
+    # These flags only mean something to the suite subcommands; parse and
+    # reduce reject them instead of ignoring them.
+    result = run_cli(*(arg.format(tmp=tmp_path) for arg in argv), expect=2)
+    assert "unrecognized arguments" in result.stderr
+    assert not list(tmp_path.iterdir())
+
+
 def test_usage_error_exit_code():
     result = subprocess.run(
         [sys.executable, "-m", "zhu_forge.cli", "frobnicate"],
@@ -251,6 +289,8 @@ def test_usage_error_exit_code():
         ["appendix", "--shift-bound", "-1"],
         ["appendix", "--samples", "-3"],
         ["appendix", "--s", "1..1", "--t", "0..0", "--N", "-1..-1", "--samples", "3"],
+        ["zhu", "--level", "-1"],
+        ["axioms", "--cutoff", "-1"],
     ],
     ids=[
         "dims-cutoff",
@@ -260,6 +300,8 @@ def test_usage_error_exit_code():
         "appendix-negative-shift-bound",
         "appendix-no-samples",
         "appendix-negative-depth",
+        "zhu-level",
+        "axioms-cutoff",
     ],
 )
 def test_dims_and_appendix_usage_errors_exit_2(argv):

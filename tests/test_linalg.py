@@ -45,11 +45,11 @@ def test_reduce_vector_idempotent_and_linear():
         order=lambda k: k,
     )
     vec = {0: F(3), 1: F(5), 3: F(2)}
-    reduced = reduce_vector(vec, rows, pivots, order=lambda k: k)
-    again = reduce_vector(reduced, rows, pivots, order=lambda k: k)
+    reduced = reduce_vector(vec, rows, pivots)
+    again = reduce_vector(reduced, rows, pivots)
     assert reduced == again
     for row in rows:
-        assert not reduce_vector(row, rows, pivots, order=lambda k: k)
+        assert not reduce_vector(row, rows, pivots)
 
 
 def test_full_reduction_of_members():
@@ -59,7 +59,7 @@ def test_full_reduction_of_members():
     g2 = {1: F(1), 2: F(1)}
     g3 = {0: F(1), 2: F(-1)}  # = g1 - g2
     rows, pivots = rref([g1, g2], order=lambda k: k)
-    assert not reduce_vector(g3, rows, pivots, order=lambda k: k)
+    assert not reduce_vector(g3, rows, pivots)
 
 
 def test_kernel_basis():
@@ -175,7 +175,7 @@ def test_reduce_vector_matches_sympy(data, draw):
     matrix, ncols = data
     vec = draw.draw(st.lists(scalars, min_size=ncols, max_size=ncols))
     rows, pivots = rref(to_rows(matrix), order=lambda c: c)
-    reduced = reduce_vector(to_rows([vec])[0], rows, pivots, order=lambda c: c)
+    reduced = reduce_vector(to_rows([vec])[0], rows, pivots)
     # The representative vanishes on every pivot column and differs from
     # the input by a member of the row space; together these pin it down.
     assert not set(reduced) & set(pivots)

@@ -2,53 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from zhu_forge import builtin_presentation, cli, voa, zhu
+from zhu_forge import builtin_presentation, cli, modes, voa, zhu
 from zhu_forge.report import CheckRecord
-from zhu_forge.suites import (
-    RunConfig,
-    appendix_suite,
-    deep_tail_witness_suite,
-    run_suite,
-    zhu_structure_suite,
-)
+from zhu_forge.suites import appendix_suite, deep_tail_witness_suite, zhu_structure_suite
 
 HEIS = builtin_presentation("heisenberg")
 VIR = builtin_presentation("virasoro", Fraction(1, 2))
-
-
-def test_run_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig(level=-1)
-    with pytest.raises(ValueError):
-        RunConfig(suites=("axioms", "nope"))
-    # The command line runs dims and appendix itself, with their own options.
-    for suite in ("dims", "appendix"):
-        with pytest.raises(ValueError, match="unknown suites"):
-            RunConfig(suites=(suite,))
-
-
-def test_run_suite_merges_and_passes():
-    code, doc = run_suite(
-        RunConfig(
-            voa="heisenberg",
-            level=1,
-            cutoff=5,
-            suites=("zhu", "omega"),
-            seed=2,
-        )
-    )
-    assert code == 0
-    names = {record.name for record in doc.sorted_checks()}
-    assert any(name.startswith("zhu/") for name in names)
-    assert any(name.startswith("omega/") for name in names)
-    assert doc.config["suites"] == ["omega", "zhu"]
-
-
-def test_run_suite_is_deterministic():
-    config = RunConfig(voa="virasoro", central_charge=Fraction(1, 2), cutoff=4, seed=7)
-    _, first = run_suite(config)
-    _, second = run_suite(config)
-    assert first.canonical_bytes() == second.canonical_bytes()
 
 
 def test_zhu_structure_suite_counts_in_range_checks():
@@ -99,15 +58,20 @@ def test_zhu_span_out_builds_each_level_span_once(monkeypatch, tmp_path, capsys)
 
 
 def test_reports_do_not_depend_on_memo_state():
-    config = RunConfig(voa="heisenberg", level=1, cutoff=3, suites=("zhu", "iso"))
-    first = run_suite(config)[1].canonical_bytes()
-    warm = run_suite(config)[1].canonical_bytes()
+    def reports():
+        return (
+            zhu_structure_suite(HEIS, 1, 3).canonical_bytes(),
+            modes.homomorphism_check(HEIS, 1, 3).canonical_bytes(),
+        )
+
+    first = reports()
+    warm = reports()
     voa.clear_caches()
     assert voa._apply_mono.cache_info().currsize == 0
     assert voa._mode_mono.cache_info().currsize == 0
     assert zhu._star_mono.cache_info().currsize == 0
     assert zhu.build_zhu_context.cache_info().currsize == 0
-    cold = run_suite(config)[1].canonical_bytes()
+    cold = reports()
     assert first == warm == cold
 
 

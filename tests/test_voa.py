@@ -6,7 +6,6 @@ import pytest
 
 from zhu_forge import (
     FockVector,
-    SamplingPlan,
     apply_generator_mode,
     axiom_suite,
     basis_vectors,
@@ -259,9 +258,8 @@ def test_builtin_rejects_unknown_name():
 
 
 def test_axiom_suite_passes_quickly():
-    plan = SamplingPlan(seed=3, jacobi_samples=40)
     for presentation in (HEIS, VIR):
-        doc = axiom_suite(presentation, 5, plan)
+        doc = axiom_suite(presentation, 5, seed=3, jacobi_samples=40)
         assert doc.passed, [r.witness for r in doc.sorted_checks() if r.status == "fail"]
 
 
@@ -275,7 +273,7 @@ def test_axiom_suite_catches_tampered_bracket():
             ),
         ),
     )
-    doc = axiom_suite(tampered, 4, SamplingPlan(seed=0, jacobi_samples=10))
+    doc = axiom_suite(tampered, 4, seed=0, jacobi_samples=10)
     assert not doc.passed
     failing = {r.name: r.witness for r in doc.sorted_checks() if r.status == "fail"}
     assert "virasoro_bracket" in failing
@@ -284,7 +282,6 @@ def test_axiom_suite_catches_tampered_bracket():
 
 
 def test_report_is_deterministic():
-    plan = SamplingPlan(seed=9, jacobi_samples=25)
-    first = axiom_suite(HEIS, 4, plan).canonical_bytes()
-    second = axiom_suite(HEIS, 4, plan).canonical_bytes()
+    first = axiom_suite(HEIS, 4, seed=9, jacobi_samples=25).canonical_bytes()
+    second = axiom_suite(HEIS, 4, seed=9, jacobi_samples=25).canonical_bytes()
     assert first == second
