@@ -51,7 +51,7 @@ def _add_common(parser: argparse.ArgumentParser, suite: bool = True) -> None:
         type=str,
         default=None,
         metavar="FILE",
-        help="key=value file supplying defaults; explicit flags win",
+        help="file of key = value lines read as flags; flags typed later win",
     )
     parser.add_argument("--voa", choices=VOA_CHOICES, default="heisenberg")
     parser.add_argument(
@@ -78,18 +78,16 @@ def _parse_range(text: str) -> tuple[int, int]:
     return value, value
 
 
-def build_parser(defaults: dict[str, object] | None = None) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zhu-forge",
         description="exact mode calculus and quotient-algebra checks for vertex operator algebras",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    created: list[argparse.ArgumentParser] = []
 
     for name in ("axioms", "iso", "omega"):
         p = sub.add_parser(name)
         _add_common(p)
-        created.append(p)
 
     p = sub.add_parser("zhu")
     _add_common(p)
@@ -99,7 +97,6 @@ def build_parser(defaults: dict[str, object] | None = None) -> argparse.Argument
         default=None,
         help="also dump the reduced ideal span as a JSON matrix",
     )
-    created.append(p)
 
     p = sub.add_parser("appendix")
     _add_common(p)
@@ -108,7 +105,6 @@ def build_parser(defaults: dict[str, object] | None = None) -> argparse.Argument
     p.add_argument("--N", type=str, default="0..4", metavar="a..b")
     p.add_argument("--shift-bound", type=int, default=10)
     p.add_argument("--samples", type=int, default=50)
-    created.append(p)
 
     p = sub.add_parser("dims")
     _add_common(p)
@@ -118,7 +114,6 @@ def build_parser(defaults: dict[str, object] | None = None) -> argparse.Argument
         default="quotient",
         help="which dimension table to write",
     )
-    created.append(p)
 
     p = sub.add_parser("reduce")
     _add_common(p, suite=False)
@@ -128,19 +123,12 @@ def build_parser(defaults: dict[str, object] | None = None) -> argparse.Argument
     p.add_argument(
         "--variant", choices=("rightmost", "leftmost"), default="rightmost"
     )
-    created.append(p)
 
     p = sub.add_parser("parse")
     _add_common(p, suite=False)
     p.add_argument("--expr", type=str, required=True)
     p.add_argument("--uea", action="store_true", help="parse as a mode expression")
-    created.append(p)
 
-    if defaults:
-        # Subcommands parse into a fresh namespace, so config-file defaults
-        # must land on every subparser to take effect (flags still win).
-        for p in created:
-            p.set_defaults(**defaults)
     return parser
 
 
@@ -202,12 +190,10 @@ def _merge_range_flags(argv: list[str]) -> list[str]:
     return out
 
 
-_INT_KEYS = {"level", "cutoff", "seed", "mod_level", "shift_bound", "samples"}
-
-
-def _load_config_file(path: str) -> dict[str, object]:
-    """Read ``key = value`` lines; '#' starts a comment."""
-    values: dict[str, object] = {}
+def _config_flags(path: str) -> list[str]:
+    """Read ``key = value`` lines as ``--key=value`` flags, ``_`` in a key
+    becoming ``-``; '#' starts a comment."""
+    flags: list[str] = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -215,10 +201,8 @@ def _load_config_file(path: str) -> dict[str, object]:
         if "=" not in body:
             raise ValueError(f"{path}:{lineno}: expected key = value")
         key, _, value = body.partition("=")
-        key = key.strip().replace("-", "_")
-        value = value.strip()
-        values[key] = int(value) if key in _INT_KEYS else value
-    return values
+        flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return flags
 
 
 def _find_config_path(argv: list[str]) -> str | None:
@@ -233,16 +217,17 @@ def _find_config_path(argv: list[str]) -> str | None:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    argv = _merge_range_flags(list(argv))
-    defaults = None
+    argv = list(argv)
     config_path = _find_config_path(argv)
     if config_path:
+        # The file's flags go right after the subcommand, so argparse checks
+        # them like typed flags and a flag typed later wins.
         try:
-            defaults = _load_config_file(config_path)
+            argv[1:1] = _config_flags(config_path)
         except (OSError, ValueError) as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 2
-    args = build_parser(defaults).parse_args(argv)
+    args = build_parser().parse_args(_merge_range_flags(argv))
     try:
         return _run(args)
     except OSError as exc:

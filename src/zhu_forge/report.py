@@ -119,9 +119,8 @@ class ReportDocument:
 
 @dataclass
 class DimensionTable:
-    """Rows of (index, dimension) with a short label saying what was counted."""
+    """Rows of (index, dimension), written as an ``index,dim`` CSV."""
 
-    kind: str
     rows: list[tuple[int, int]] = field(default_factory=list)
 
     def to_csv(self) -> str:

@@ -384,6 +384,18 @@ def apply_generator_mode(
     return FockVector(presentation, acc)
 
 
+def extend_bilinearly(table, u: FockVector, index: int, v: FockVector) -> FockVector:
+    """The bilinear extension to ``u, v`` of a product given on basis
+    monomials by ``table(presentation, umono, index, vmono)``."""
+    u._check_same(v)
+    presentation = u.presentation
+    acc: dict[Monomial, Fraction] = {}
+    for umono, ucoeff in u.terms.items():
+        for vmono, vcoeff in v.terms.items():
+            add_scaled(acc, table(presentation, umono, index, vmono), ucoeff * vcoeff)
+    return FockVector(presentation, acc)
+
+
 def mode_action(u: FockVector, n: int, v: FockVector) -> FockVector:
     """The vector ``u_n v`` for arbitrary states ``u, v``.
 
@@ -391,13 +403,7 @@ def mode_action(u: FockVector, n: int, v: FockVector) -> FockVector:
     the output is homogeneous of weight ``wt(u) + wt(v) - n - 1`` when both
     inputs are homogeneous.
     """
-    u._check_same(v)
-    presentation = u.presentation
-    acc: dict[Monomial, Fraction] = {}
-    for umono, ucoeff in u.terms.items():
-        for vmono, vcoeff in v.terms.items():
-            add_scaled(acc, _mode_mono(presentation, umono, n, vmono), ucoeff * vcoeff)
-    return FockVector(presentation, acc)
+    return extend_bilinearly(_mode_mono, u, n, v)
 
 
 def truncation_bound(u: FockVector, v: FockVector) -> int:
@@ -413,8 +419,8 @@ def truncation_bound(u: FockVector, v: FockVector) -> int:
 
 def clear_caches() -> None:
     """Empty every table registered with :func:`memo`: normal ordering, the
-    mode action, ``zhu._star_mono`` and ``zhu.build_zhu_context``. The shared
-    built-in presentations are kept."""
+    mode action, ``zhu._circle_mono``, ``zhu._star_mono`` and
+    ``zhu.build_zhu_context``. The shared built-in presentations are kept."""
     for table in _MEMOS:
         table.cache_clear()
 

@@ -214,6 +214,25 @@ def test_config_file_errors_are_usage_errors(tmp_path):
     assert "config" in result.stderr
 
 
+def test_config_file_unknown_key_is_usage_error(tmp_path):
+    config = tmp_path / "typo.cfg"
+    config.write_text("colour = blue\n")
+    result = run_cli("omega", "--config", str(config), "--cutoff", "2", expect=2)
+    assert "--colour" in result.stderr
+
+
+def test_config_file_key_for_a_missing_flag_is_usage_error(tmp_path):
+    out = tmp_path / "x.txt"
+    config = tmp_path / "out.cfg"
+    config.write_text(f"out = {out}\n")
+    result = run_cli(
+        "reduce", "--config", str(config), "--expr", "J[0](a[-1]vac)", "--mod-level", "1",
+        expect=2,
+    )
+    assert "--out" in result.stderr
+    assert not out.exists()
+
+
 def test_report_golden_roundtrip(tmp_path):
     golden = tmp_path / "omega.json"
     args = ["omega", "--voa", "heisenberg", "--level", "1", "--cutoff", "4"]

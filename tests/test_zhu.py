@@ -4,6 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -112,6 +113,16 @@ def reference_star(u, v, level):
     return out
 
 
+def reference_circle(u, v, level):
+    """Unmemoized ``u o_level v`` from the defining sum over ``mode_action``."""
+    out = FockVector.zero(u.presentation)
+    for wu, upart in u.weight_decomposition().items():
+        for i in range(wu + level + 1):
+            coeff = math.comb(wu + level, i)
+            out = out + coeff * mode_action(upart, i - 2 * level - 2, v)
+    return out
+
+
 @st.composite
 def sparse_vectors(draw, presentation):
     """Sparse vectors mixing the weights 0..3, small rational coefficients."""
@@ -124,14 +135,18 @@ def sparse_vectors(draw, presentation):
 @settings(max_examples=40, deadline=None)
 @given(st.data(), st.sampled_from((HEIS, VIR)), st.integers(0, 2))
 def test_star_product_matches_defining_sum(data, presentation, level):
+    # The circle product is checked the same way.
     u = data.draw(sparse_vectors(presentation))
     v = data.draw(sparse_vectors(presentation))
-    expected = reference_star(u, v, level)
-    assert star_product(u, v, level) == expected
+    star, circle = reference_star(u, v, level), reference_circle(u, v, level)
+    assert star_product(u, v, level) == star
+    assert circle_product(u, v, level) == circle
     if level == 0:
-        assert basic_star_product(u, v) == expected
+        assert basic_star_product(u, v) == star
+        assert basic_circle_product(u, v) == circle
     voa.clear_caches()
-    assert star_product(u, v, level) == expected
+    assert star_product(u, v, level) == star
+    assert circle_product(u, v, level) == circle
 
 
 def test_builtin_presentations_are_shared():
@@ -319,6 +334,40 @@ def test_omega_subspace_virasoro_sees_singular_vector():
     omega = VIR.conformal_vector()
     assert mode_action(omega, 2, singular).is_zero  # L(1)
     assert mode_action(omega, 3, singular).is_zero  # L(2)
+
+
+def global_omega_system(presentation, level, cutoff):
+    """The kernel system of ``omega_subspace`` without its weight blocks: a
+    column per basis monomial up to the cutoff, and a row per output
+    monomial of every basis state's mode of shift ``level < k <= cutoff``."""
+    columns = [m for _, ms in voa.enumerate_basis(presentation, cutoff) for m in ms]
+    rows = []
+    for u in basis_vectors(presentation, cutoff):
+        for k in range(level + 1, cutoff + 1):
+            images = [
+                mode_action(u, u.max_weight() - 1 + k, FockVector.from_monomial(presentation, m))
+                for m in columns
+            ]
+            outputs = {out for image in images for out in image.terms}
+            for out in sorted(outputs):
+                rows.append([sympy.Rational(str(image.terms.get(out, 0))) for image in images])
+    return columns, sympy.Matrix(len(rows), len(columns), sum(rows, []))
+
+
+@pytest.mark.parametrize("cutoff", (2, 5))
+@pytest.mark.parametrize("level", (0, 1, 2))
+@pytest.mark.parametrize("presentation", (HEIS, VIR), ids=("heisenberg", "virasoro"))
+def test_omega_subspace_matches_global_kernel(presentation, level, cutoff):
+    columns, system = global_omega_system(presentation, level, cutoff)
+    nullity = len(columns) - system.rank()
+    vectors, _ = omega_subspace(presentation, level, cutoff)
+    found = sympy.Matrix(
+        [[sympy.Rational(str(v.terms.get(m, 0))) for m in columns] for v in vectors]
+    ).T
+    # The found vectors lie in the kernel and span a space of its dimension.
+    assert len(vectors) == nullity
+    assert found.rank() == nullity
+    assert (system * found).is_zero_matrix
 
 
 def test_omega_subspace_preserved_by_zero_modes():
