@@ -1,7 +1,8 @@
 """Exact scalar arithmetic shared by every other module.
 
 Scalars are exact ``int`` or :class:`fractions.Fraction` values (a stored
-combination converts its coefficients to Fraction); nothing in the package
+combination keeps a coefficient as an ``int`` unless its denominator is
+greater than 1, see :func:`zhu_forge.linalg.exact`); nothing in the package
 touches floating point. The binomial helper extends the usual coefficient
 to arbitrary integer upper arguments via the falling factorial, which is
 what makes sums over binomials with negative upper entries exact.

@@ -1,10 +1,12 @@
 """Sparse exact linear combinations and row reduction over the rationals.
 
-Rows are dicts from hashable keys to Fractions with no zero entries;
-:func:`add_scaled` is the one place where such a dict is updated, and
-:class:`Combination` wraps one over a presentation as the common base of
-states (:class:`zhu_forge.voa.FockVector`) and enveloping-algebra words
-(:class:`zhu_forge.modes.UEAExpression`).
+Rows are dicts from hashable keys to exact scalars with no zero entries.
+A stored scalar is an ``int``, or a ``Fraction`` only when its denominator
+is greater than 1 (:func:`exact`), so integral arithmetic never pays for
+``Fraction``. :func:`add_scaled` is the one place where such a dict is
+updated, and :class:`Combination` wraps one over a presentation as the
+common base of states (:class:`zhu_forge.voa.FockVector`) and
+enveloping-algebra words (:class:`zhu_forge.modes.UEAExpression`).
 
 For row reduction a caller-supplied key function gives the total order on
 columns. The leading entry of a row is its maximal column. Reduced row
@@ -20,17 +22,32 @@ from typing import Callable, Hashable, Iterable
 Row = dict
 
 
+def exact(value) -> int | Fraction:
+    """``value`` as an ``int`` when integral, else as a ``Fraction``.
+
+    Accepts anything ``Fraction`` accepts (``bool`` becomes ``int``); a
+    ``float`` is never returned.
+    """
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 def add_scaled(
     acc: Row, terms: Iterable[tuple[Hashable, Fraction]], coeff: Fraction | int = 1
 ) -> None:
     """``acc += coeff * terms`` in place, dropping keys that cancel.
 
     ``terms`` is any iterable of (key, value) pairs: ``row.items()``, or a
-    memoized tuple of pairs.
+    memoized tuple of pairs. When ``terms`` and ``coeff`` hold ints and
+    Fractions, each value written is in :func:`exact`'s form.
     """
     for key, value in terms:
         new = acc.get(key, 0) + value * coeff
         if new:
+            if type(new) is Fraction and new.denominator == 1:
+                new = new.numerator
             acc[key] = new
         else:
             acc.pop(key, None)
@@ -39,7 +56,8 @@ def add_scaled(
 class Combination:
     """Sparse exact linear combination of keys over a presentation.
 
-    ``terms`` holds only nonzero Fraction coefficients. Subclasses choose
+    ``terms`` holds only nonzero coefficients, each a non-``bool`` ``int``
+    or a ``Fraction`` with denominator greater than 1. Subclasses choose
     the keys and their display order (:meth:`sort_key`).
     """
 
@@ -47,11 +65,7 @@ class Combination:
 
     def __init__(self, presentation, terms: Row | None = None):
         self.presentation = presentation
-        self.terms = (
-            {k: c if isinstance(c, Fraction) else Fraction(c) for k, c in terms.items() if c}
-            if terms
-            else {}
-        )
+        self.terms = {k: exact(c) for k, c in terms.items() if c} if terms else {}
 
     @classmethod
     def zero(cls, presentation):
@@ -132,7 +146,7 @@ def rref(rows: Iterable[Row], order: Callable) -> tuple[list[Row], dict]:
             if coeff:
                 add_scaled(row, pivot_rows[key].items(), -coeff)
         inv = 1 / Fraction(row[lead])
-        row = {k: v * inv for k, v in row.items()}
+        row = {k: exact(v * inv) for k, v in row.items()}
         for other in pivot_rows.values():
             coeff = other.get(lead)
             if coeff:
@@ -168,7 +182,7 @@ def kernel_basis(constraints: Iterable[dict[int, Fraction]], ncols: int) -> list
     for free in range(ncols):
         if free in pivot_cols:
             continue
-        vec: dict[int, Fraction] = {free: Fraction(1)}
+        vec: dict[int, Fraction] = {free: 1}
         for lead, idx in pivots.items():
             coeff = rows[idx].get(free)
             if coeff:

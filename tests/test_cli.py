@@ -267,6 +267,23 @@ def test_suite_report_golden(argv, golden):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["--voa", "virasoro", "--central-charge", "1/2", "--cutoff", "5"],
+         "span_virasoro_half_n1_w5.json"),
+        (["--voa", "heisenberg", "--cutoff", "6"], "span_heisenberg_n1_w6.json"),
+    ],
+    ids=["virasoro", "heisenberg"],
+)
+def test_span_out_golden(tmp_path, argv, golden):
+    # --span-out writes each stored coefficient with str(), not through
+    # format_element, so its bytes pin the int and the p/q renderings.
+    span = tmp_path / "span.json"
+    run_cli("zhu", *argv, "--level", "1", "--span-out", str(span))
+    assert span.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
 REDUCE = ["reduce", "--expr", "J[0](a[-1]vac)J[0](a[-1]vac)", "--mod-level", "1"]
 
 

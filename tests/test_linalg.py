@@ -4,10 +4,19 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zhu_forge import builtin_presentation
+from zhu_forge import (
+    basis_vectors,
+    build_zhu_context,
+    builtin_presentation,
+    circle_product,
+    mode_action,
+    star_product,
+    voa,
+)
 from zhu_forge.linalg import Combination, add_scaled, kernel_basis, reduce_vector, rref
 from zhu_forge.modes import UEAExpression
-from zhu_forge.voa import FockVector
+from zhu_forge.voa import FockVector, _mode_mono, monomial_order
+from zhu_forge.zhu import _circle_mono, _star_mono, spanning_vectors
 
 
 def F(x):
@@ -83,8 +92,9 @@ def test_kernel_of_full_rank_map_is_trivial():
 # ---------------------------------------------------------------------------
 
 HEIS = builtin_presentation("heisenberg")
+VIR = builtin_presentation("virasoro", Fraction(1, 2))
 scalars = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-sparse = st.dictionaries(st.integers(0, 6), scalars, max_size=6)
+sparse = st.dictionaries(st.integers(0, 6), scalars | st.integers(-3, 3), max_size=6)
 classes = st.sampled_from([Combination, FockVector, UEAExpression])
 
 
@@ -97,17 +107,24 @@ def naive_sum(*scaled):
     return {key: value for key, value in out.items() if value != 0}
 
 
-def assert_clean(terms):
-    assert all(isinstance(v, Fraction) and v != 0 for v in terms.values())
+def assert_exact(values):
+    """Every value is a nonzero non-bool int or a Fraction with denominator > 1."""
+    for v in values:
+        assert (type(v) is int and v != 0) or (type(v) is Fraction and v.denominator > 1), v
+
+
+def integer_first(terms):
+    """``terms`` with each integral Fraction replaced by its int numerator."""
+    return {k: v.numerator if v.denominator == 1 else v for k, v in terms.items()}
 
 
 @settings(max_examples=200, deadline=None)
 @given(sparse, sparse, scalars | st.integers(-3, 3))
 def test_add_scaled_matches_naive_sum(a, b, coeff):
-    acc = naive_sum((1, a))
+    acc = integer_first(naive_sum((1, a)))
     add_scaled(acc, b.items(), coeff)
     assert acc == naive_sum((1, a), (coeff, b))
-    assert_clean(acc)
+    assert_exact(acc.values())
 
 
 @settings(max_examples=200, deadline=None)
@@ -121,13 +138,52 @@ def test_combination_arithmetic_matches_naive_sum(cls, a, b, scalar):
     assert (scalar * x).terms == (x * scalar).terms == naive_sum((scalar, a))
     for result in (x, x + y, x - y, -x, scalar * x):
         assert type(result) is cls
-        assert_clean(result.terms)
+        assert_exact(result.terms.values())
     assert (x - x).is_zero and x + y == y + x
 
 
-def test_combination_stores_fractions():
+def test_combination_stores_int_unless_denominator_exceeds_one():
     x = FockVector(HEIS, {(): 2, ((-1, "a"),): 0})
-    assert x.terms == {(): Fraction(2)} and type(x.terms[()]) is Fraction
+    assert x.terms == {(): 2} and type(x.terms[()]) is int
+    assert type(FockVector(HEIS, {(): Fraction(4, 2)}).terms[()]) is int
+    assert type(FockVector(HEIS, {(): True}).terms[()]) is int
+    for value in (Fraction(1, 2), 0.5):
+        stored = FockVector(HEIS, {(): value}).terms[()]
+        assert type(stored) is Fraction and stored == Fraction(1, 2)
+
+
+def test_products_and_reductions_stay_integer_first():
+    # The memo tables, the products built on them and the row reduction keep
+    # every coefficient in integer-first form; Heisenberg needs no Fraction.
+    voa.clear_caches()
+    for presentation in (HEIS, VIR):
+        basis = basis_vectors(presentation, 4)
+        coefficients = []
+        for u in basis:
+            for v in basis:
+                (umono,), (vmono,) = u.terms, v.terms
+                combos = [_circle_mono(presentation, umono, 1, vmono)]
+                combos += [_star_mono(presentation, umono, 1, vmono)]
+                combos += [_mode_mono(presentation, umono, n, vmono) for n in range(-2, 5)]
+                products = [circle_product(u, v, 1), star_product(u, v, 1)]
+                products += [mode_action(u, n, v) for n in range(-2, 5)]
+                coefficients += [c for combo in combos for _, c in combo]
+                coefficients += [c for x in products for c in x.terms.values()]
+        assert_exact(coefficients)
+        if presentation is HEIS:
+            assert all(type(c) is int for c in coefficients)
+    voa.clear_caches()
+    for row in build_zhu_context(HEIS, 1, 5).rows:
+        assert all(type(c) is int for c in row.terms.values())
+    spanning = [v.terms for v in spanning_vectors(VIR, 1, 5)]
+    rows, _ = rref(spanning, order=monomial_order)
+    columns = {m: j for j, m in enumerate(sorted({m for row in spanning for m in row}))}
+    kernel = kernel_basis(
+        [{columns[m]: c for m, c in row.items()} for row in spanning], len(columns)
+    )
+    assert rows and kernel
+    for vec in rows + kernel:
+        assert_exact(vec.values())
 
 
 def to_rows(matrix):
