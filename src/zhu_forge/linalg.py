@@ -68,6 +68,16 @@ class Combination:
         self.terms = {k: exact(c) for k, c in terms.items() if c} if terms else {}
 
     @classmethod
+    def _adopt(cls, presentation, terms: Row):
+        """Wrap ``terms`` without copying or normalizing it. Only for a dict
+        already in :func:`add_scaled`'s form, such as one it has just built
+        from the terms of other combinations."""
+        self = cls.__new__(cls)
+        self.presentation = presentation
+        self.terms = terms
+        return self
+
+    @classmethod
     def zero(cls, presentation):
         return cls(presentation)
 
@@ -98,7 +108,7 @@ class Combination:
         self._check_same(other)
         out = dict(self.terms)
         add_scaled(out, other.terms.items(), coeff)
-        return type(self)(self.presentation, out)
+        return self._adopt(self.presentation, out)
 
     def __add__(self, other):
         return self._combine(other, 1)

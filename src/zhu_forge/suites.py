@@ -22,7 +22,13 @@ from .modes import (
 )
 from .report import CheckRecord, ReportDocument
 from .voa import FockVector, Presentation, basis_vectors, format_element
-from .zhu import build_zhu_context, inverse_system_check, star_product, translation_row
+from .zhu import (
+    build_zhu_context,
+    inverse_system_check,
+    star_in_window,
+    star_product,
+    translation_row,
+)
 
 
 def zhu_structure_suite(presentation: Presentation, level: int, cutoff: int) -> ReportDocument:
@@ -32,7 +38,9 @@ def zhu_structure_suite(presentation: Presentation, level: int, cutoff: int) -> 
     truncated span is a two-sided star ideal, star is associative modulo the
     span for all in-range basis triples, the conformal class is central at
     level 0, and the translation rows vanish in the quotient. Products
-    whose output leaves the window are skipped, not truncated.
+    whose output leaves the window are skipped, not truncated: overflow is
+    decided by :func:`zhu.star_in_window` from the product's weight slices
+    above the cutoff, so a skipped product is never formed in full.
     """
     ctx = build_zhu_context(presentation, level, cutoff)
     vac = FockVector.vacuum(presentation)
@@ -48,11 +56,11 @@ def zhu_structure_suite(presentation: Presentation, level: int, cutoff: int) -> 
     failures = []
     checked = 0
     for v in basis:
-        left = star_product(vac, v, level)
-        if left.max_weight() <= cutoff and ctx.reduce(left) != ctx.reduce(v):
+        left = star_in_window(vac, v, level, cutoff)
+        if left is not None and ctx.reduce(left) != ctx.reduce(v):
             failures.append({"side": "left", "v": format_element(v)})
-        right = star_product(v, vac, level)
-        if right.max_weight() <= cutoff:
+        right = star_in_window(v, vac, level, cutoff)
+        if right is not None:
             checked += 1
             if ctx.reduce(right) != ctx.reduce(v):
                 failures.append({"side": "right", "v": format_element(v)})
@@ -62,9 +70,9 @@ def zhu_structure_suite(presentation: Presentation, level: int, cutoff: int) -> 
     checked = 0
     for row in ctx.rows:
         for u in basis:
-            for prod, side in ((star_product(u, row, level), "left"),
-                               (star_product(row, u, level), "right")):
-                if prod.max_weight() <= cutoff:
+            for prod, side in ((star_in_window(u, row, level, cutoff), "left"),
+                               (star_in_window(row, u, level, cutoff), "right")):
+                if prod is not None:
                     checked += 1
                     if not ctx.reduce(prod).is_zero:
                         failures.append({"side": side, "u": format_element(u)})
@@ -72,18 +80,20 @@ def zhu_structure_suite(presentation: Presentation, level: int, cutoff: int) -> 
 
     failures = []
     checked = 0
-    for u in basis:
-        for v in basis:
-            uv = star_product(u, v, level)
-            if uv.max_weight() > cutoff:
+    # products[i][j] is basis[i] * basis[j], or None when it leaves the window.
+    products = [[star_in_window(u, v, level, cutoff) for v in basis] for u in basis]
+    for u, u_products in zip(basis, products):
+        for v, uv, v_products in zip(basis, u_products, products):
+            if uv is None:
                 continue
-            for w in basis:
-                vw = star_product(v, w, level)
-                if vw.max_weight() > cutoff:
+            for w, vw in zip(basis, v_products):
+                if vw is None:
                     continue
-                left = star_product(uv, w, level)
-                right = star_product(u, vw, level)
-                if max(left.max_weight(), right.max_weight()) > cutoff:
+                left = star_in_window(uv, w, level, cutoff)
+                if left is None:
+                    continue
+                right = star_in_window(u, vw, level, cutoff)
+                if right is None:
                     continue
                 checked += 1
                 if ctx.reduce(left - right):

@@ -393,7 +393,7 @@ def extend_bilinearly(table, u: FockVector, index: int, v: FockVector) -> FockVe
     for umono, ucoeff in u.terms.items():
         for vmono, vcoeff in v.terms.items():
             add_scaled(acc, table(presentation, umono, index, vmono), ucoeff * vcoeff)
-    return FockVector(presentation, acc)
+    return FockVector._adopt(presentation, acc)
 
 
 def mode_action(u: FockVector, n: int, v: FockVector) -> FockVector:
@@ -419,8 +419,9 @@ def truncation_bound(u: FockVector, v: FockVector) -> int:
 
 def clear_caches() -> None:
     """Empty every table registered with :func:`memo`: normal ordering, the
-    mode action, ``zhu._circle_mono``, ``zhu._star_mono`` and
-    ``zhu.build_zhu_context``. The shared built-in presentations are kept."""
+    mode action, ``zhu._circle_mono``, ``zhu._star_mono``, the weight slices
+    ``zhu._star_slice`` and ``zhu.build_zhu_context``. The shared built-in
+    presentations are kept."""
     for table in _MEMOS:
         table.cache_clear()
 

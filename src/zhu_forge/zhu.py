@@ -10,7 +10,10 @@ with ``u`` split into homogeneous parts first. Both are bilinear and a
 basis monomial is homogeneous, so each product is a memoized table of
 structure constants on pairs of basis monomials, extended to vectors by the
 same loop as the mode action (``voa.extend_bilinearly``); ``voa.clear_caches``
-empties every memo. The level ideal is spanned by all circle products
+empties every memo. The star constants are memoized by weight slice as well,
+so :func:`star_in_window` decides whether a product leaves a weight window
+from its slices above the cutoff alone, before any slice inside the window
+is computed. The level ideal is spanned by all circle products
 together with ``L(-1)u + L(0)u``; a :class:`ZhuContext` holds the
 row-reduced span of the spanning vectors whose components all fit under a
 weight cutoff. That is an inner approximation of the ideal's intersection
@@ -70,9 +73,9 @@ def star_product(u: FockVector, v: FockVector, level: int) -> FockVector:
     return extend_bilinearly(_star_mono, u, level, v)
 
 
-# A monomial is homogeneous, so the two tables below need no weight split.
+# A monomial is homogeneous, so the tables below need no weight split.
 # Each result is frozen as sorted (monomial, coefficient) pairs, and
-# ``voa.clear_caches`` empties both memos.
+# ``voa.clear_caches`` empties every memo.
 
 
 @memo
@@ -103,6 +106,62 @@ def _star_mono(
             term = _mode_mono(presentation, umono, i - m - level - 1, vmono)
             add_scaled(acc, term, outer * binomial(top, i))
     return _freeze(acc)
+
+
+@memo
+def _star_slice(
+    presentation: Presentation, umono: Monomial, level: int, vmono: Monomial, weight: int
+) -> Combo:
+    """The weight-``weight`` component of ``u *_level v`` for two basis
+    monomials. The term ``u_{i-m-level-1} v`` lands at weight
+    ``wt(u)+wt(v)-i+m+level``, so each ``m`` gives at most one ``i``."""
+    top = monomial_weight(umono) + level
+    base = top + monomial_weight(vmono) - weight
+    acc: dict[Monomial, Fraction] = {}
+    for m in range(level + 1):
+        i = base + m
+        if 0 <= i <= top:
+            coeff = binomial(m + level, level) * binomial(top, i)
+            term = _mode_mono(presentation, umono, i - m - level - 1, vmono)
+            add_scaled(acc, term, -coeff if m % 2 else coeff)
+    return _freeze(acc)
+
+
+def star_in_window(u: FockVector, v: FockVector, level: int, cutoff: int) -> FockVector | None:
+    """``star_product(u, v, level)`` if all its components have weight at
+    most ``cutoff``, else ``None``.
+
+    The slices above the cutoff are summed over all term pairs, top slice
+    first, and the first nonzero sum means overflow; cancellation between
+    term pairs is computed, not assumed. A pair of weights ``a, b`` has
+    slices from ``b`` to ``a+b+2*level``.
+    """
+    if level < 0:
+        raise ValueError("level must be nonnegative")
+    u._check_same(v)
+    presentation = u.presentation
+    vterms = [(vmono, monomial_weight(vmono), vcoeff) for vmono, vcoeff in v.terms.items()]
+    pairs = [
+        (umono, vmono, b, a + b + 2 * level, ucoeff * vcoeff)
+        for umono, ucoeff in u.terms.items()
+        for a in (monomial_weight(umono),)
+        for vmono, b, vcoeff in vterms
+    ]
+
+    def add_slice(acc: dict, weight: int) -> dict:
+        for umono, vmono, low, high, coeff in pairs:
+            if low <= weight <= high:
+                add_scaled(acc, _star_slice(presentation, umono, level, vmono, weight), coeff)
+        return acc
+
+    top = max((high for _, _, _, high, _ in pairs), default=-1)
+    for weight in range(top, cutoff, -1):
+        if add_slice({}, weight):
+            return None
+    acc: dict[Monomial, Fraction] = {}
+    for weight in range(min(top, cutoff) + 1):
+        add_slice(acc, weight)
+    return FockVector._adopt(presentation, acc)
 
 
 def basic_circle_product(u: FockVector, v: FockVector) -> FockVector:

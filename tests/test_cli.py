@@ -250,21 +250,30 @@ def test_appendix_range_flags():
     assert doc["summary"]["fail"] == 0
 
 
+VIRASORO_HALF = ["--voa", "virasoro", "--central-charge", "1/2"]
+
+
 @pytest.mark.parametrize(
     "argv, golden",
     [
-        (["axioms", "--cutoff", "5", "--seed", "3"], "report_axioms_virasoro_half_w5_seed3.json"),
-        (["zhu", "--level", "1", "--cutoff", "6"], "report_zhu_virasoro_half_n1_w6.json"),
-        (["iso", "--level", "1", "--cutoff", "5"], "report_iso_virasoro_half_n1_w5.json"),
-        (["omega", "--level", "1", "--cutoff", "6"], "report_omega_virasoro_half_n1_w6.json"),
+        (["axioms", *VIRASORO_HALF, "--cutoff", "5", "--seed", "3"],
+         "report_axioms_virasoro_half_w5_seed3.json"),
+        (["zhu", *VIRASORO_HALF, "--level", "1", "--cutoff", "6"],
+         "report_zhu_virasoro_half_n1_w6.json"),
+        (["zhu", "--voa", "heisenberg", "--level", "0", "--cutoff", "6"],
+         "report_zhu_heisenberg_n0_w6.json"),
+        (["zhu", "--voa", "heisenberg", "--level", "2", "--cutoff", "6"],
+         "report_zhu_heisenberg_n2_w6.json"),
+        (["iso", *VIRASORO_HALF, "--level", "1", "--cutoff", "5"],
+         "report_iso_virasoro_half_n1_w5.json"),
+        (["omega", *VIRASORO_HALF, "--level", "1", "--cutoff", "6"],
+         "report_omega_virasoro_half_n1_w6.json"),
     ],
-    ids=["axioms", "zhu", "iso", "omega"],
+    ids=["axioms", "zhu", "zhu-heisenberg-n0", "zhu-heisenberg-n2", "iso", "omega"],
 )
 def test_suite_report_golden(argv, golden):
     # Pins the merged report of each suite subcommand, header included.
-    run_cli(
-        *argv, "--voa", "virasoro", "--central-charge", "1/2", "--golden", str(GOLDEN / golden)
-    )
+    run_cli(*argv, "--golden", str(GOLDEN / golden))
 
 
 @pytest.mark.parametrize(

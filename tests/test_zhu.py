@@ -22,11 +22,13 @@ from zhu_forge import (
     inverse_system_check,
     mode_action,
     omega_subspace,
+    star_in_window,
     star_product,
     translation_row,
     voa,
 )
-from zhu_forge.zhu import _star_mono, an_dims, spanning_vectors
+from zhu_forge.linalg import add_scaled
+from zhu_forge.zhu import _star_mono, _star_slice, an_dims, spanning_vectors
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -147,6 +149,53 @@ def test_star_product_matches_defining_sum(data, presentation, level):
     voa.clear_caches()
     assert star_product(u, v, level) == star
     assert circle_product(u, v, level) == circle
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from((HEIS, VIR)), st.integers(0, 2), st.integers(0, 8))
+def test_star_in_window_matches_star_product(data, presentation, level, cutoff):
+    # Ideal rows are drawn too: their top slices can cancel between terms.
+    rows = build_zhu_context(presentation, level, 6).rows
+    u = data.draw(st.one_of(sparse_vectors(presentation), st.sampled_from(rows)))
+    v = data.draw(st.one_of(sparse_vectors(presentation), st.sampled_from(rows)))
+    product = star_product(u, v, level)
+    windowed = star_in_window(u, v, level, cutoff)
+    if product.max_weight() > cutoff:
+        assert windowed is None
+    else:
+        assert windowed == product
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from((HEIS, VIR)), st.integers(0, 2))
+def test_star_slices_sum_to_star_mono(data, presentation, level):
+    monos = [m for _, ms in voa.enumerate_basis(presentation, 4) for m in ms]
+    umono, vmono = data.draw(st.sampled_from(monos)), data.draw(st.sampled_from(monos))
+    top = voa.monomial_weight(umono) + voa.monomial_weight(vmono) + 2 * level
+    total: dict = {}
+    for weight in range(top + 3):
+        part = _star_slice(presentation, umono, level, vmono, weight)
+        assert all(voa.monomial_weight(m) == weight for m, _ in part)
+        add_scaled(total, part)
+    assert total == dict(_star_mono(presentation, umono, level, vmono))
+
+
+def test_star_in_window_computes_cancellation_above_the_cutoff():
+    # Heisenberg level 1, cutoff 4: an ideal row times a basis vector whose
+    # top slice sits above the cutoff per term but cancels in the sum.
+    level, cutoff = 1, 4
+    ctx = build_zhu_context(HEIS, level, cutoff)
+    cancelled = []
+    for row in ctx.rows:
+        for u in basis_vectors(HEIS, cutoff):
+            for x, y in ((u, row), (row, u)):
+                product = star_product(x, y, level)
+                if x.max_weight() + y.max_weight() + 2 * level > cutoff >= product.max_weight():
+                    cancelled.append((x, y))
+                    assert star_in_window(x, y, level, cutoff) == product
+    assert len(cancelled) == 5
+    row = mono(HEIS, (-2, "a")) + mono(HEIS, (-1, "a"))
+    assert star_in_window(row, A, level, cutoff) is None
 
 
 def test_builtin_presentations_are_shared():
