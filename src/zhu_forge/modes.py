@@ -36,6 +36,7 @@ from .voa import (
     format_monomial,
     mode_action,
     monomial_weight,
+    zero_mode,
 )
 from .zhu import build_zhu_context, omega_subspace, star_product
 
@@ -68,7 +69,7 @@ class UEAExpression(Combination):
         out: dict[Word, Fraction] = {}
         for w1, c1 in self.terms.items():
             add_scaled(out, ((w1 + w2, c2) for w2, c2 in other.terms.items()), c1)
-        return UEAExpression(self.presentation, out)
+        return UEAExpression._adopt(self.presentation, out)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -95,7 +96,7 @@ def mode_symbol(argument: FockVector, shift: int) -> UEAExpression:
     acc: dict[Word, Fraction] = {}
     for mono, coeff in argument.terms.items():
         _put_factor(acc, mono, shift, coeff)
-    return UEAExpression(argument.presentation, acc)
+    return UEAExpression._adopt(argument.presentation, acc)
 
 
 def raw_mode(argument: FockVector, index: int) -> UEAExpression:
@@ -107,7 +108,7 @@ def raw_mode(argument: FockVector, index: int) -> UEAExpression:
     acc: dict[Word, Fraction] = {}
     for mono, coeff in argument.terms.items():
         _put_factor(acc, mono, index - monomial_weight(mono) + 1, coeff)
-    return UEAExpression(argument.presentation, acc)
+    return UEAExpression._adopt(argument.presentation, acc)
 
 
 def word_expression(
@@ -139,7 +140,7 @@ def vhat_bracket(u: FockVector, m: int, v: FockVector, n: int) -> UEAExpression:
                 inner = mode_action(upart, i, vpart)
                 if inner:
                     add_scaled(acc, raw_mode(inner, m + n - i).terms.items(), c)
-    return UEAExpression(u.presentation, acc)
+    return UEAExpression._adopt(u.presentation, acc)
 
 
 def expand_iterate_side(
@@ -160,7 +161,7 @@ def expand_iterate_side(
                 inner = mode_action(upart, ell + i, vpart)
                 if inner:
                     add_scaled(acc, mode_symbol(inner, shift).terms.items(), c)
-    return UEAExpression(u.presentation, acc)
+    return UEAExpression._adopt(u.presentation, acc)
 
 
 def expand_product_side(
@@ -206,7 +207,7 @@ def expand_product_side(
         if ell >= 0 or m + i <= right_bound:
             second = mode_symbol(v, n + ell - i).concat(mode_symbol(u, m + i))
             add_scaled(acc, second.terms.items(), flip)
-    return UEAExpression(u.presentation, acc)
+    return UEAExpression._adopt(u.presentation, acc)
 
 
 def evaluate_expression(expression: UEAExpression, x: FockVector) -> FockVector:
@@ -225,7 +226,7 @@ def evaluate_expression(expression: UEAExpression, x: FockVector) -> FockVector:
             if current.is_zero:
                 break
         add_scaled(total, current.terms.items(), coeff)
-    return FockVector(presentation, total)
+    return FockVector._adopt(presentation, total)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +271,7 @@ def reordering_residual(
         acc, s, t, depth, u, v, bound - max(s, t), bound - depth - 1 - max(0, s - t)
     )
     kept = {w: c for w, c in acc.items() if all(-bound <= shift <= bound for _, shift in w)}
-    return UEAExpression(presentation, kept)
+    return UEAExpression._adopt(presentation, kept)
 
 
 def pair_expansion(
@@ -311,7 +312,7 @@ def pair_expansion(
                     add_scaled(acc, mode_symbol(inner, t - s).terms.items(), ci * cj)
     if right_bound is not None:
         _add_pair_tails(acc, s, t, depth, u, v, right_bound - t, right_bound - depth - 1)
-    return UEAExpression(presentation, acc)
+    return UEAExpression._adopt(presentation, acc)
 
 
 def _check_pair_hypothesis(s: int, depth: int) -> None:
@@ -546,7 +547,7 @@ def reduce_word(
                     ),
                 )
             )
-        current = UEAExpression(presentation, acc)
+        current = UEAExpression._adopt(presentation, acc)
 
     result: dict[Monomial, Fraction] = {}
     for word, coeff in current.terms.items():
@@ -558,7 +559,7 @@ def reduce_word(
                     "degree bookkeeping violated: singleton with nonzero shift"
                 )
         add_scaled(result, ((mono, coeff),))
-    return FockVector(presentation, result), trace
+    return FockVector._adopt(presentation, result), trace
 
 
 def replay_trace(
@@ -583,34 +584,39 @@ def homomorphism_check(
 ) -> ReportDocument:
     """Zero-mode words multiply like the level star product.
 
-    For every pair of basis states up to ``weight_bound``:
+    For every ordered pair of basis states up to ``weight_bound``:
 
     * ``reduce_word(J_0(u) J_0(v), level+1)`` equals ``u *_level v`` exactly;
     * the reduction of the commutator word equals the star commutator
       modulo the truncated level ideal;
-    * the original word and the zero-mode of its reduction act identically
-      on the kernel subspace of shifts above ``level``.
+    * ``o(u) o(v)`` and the zero mode of the reduction (``voa.zero_mode``)
+      act identically on the kernel subspace of shifts above ``level``.
+
+    Products and reductions are tabulated once per ordered pair, so the
+    commutator of ``(u, v)`` reads the entries of ``(v, u)``.
     """
     states = basis_vectors(presentation, weight_bound)
+    omega_vectors, _ = omega_subspace(presentation, level, weight_bound)
+    stars = [[star_product(u, v, level) for v in states] for u in states]
+    reduced = [
+        [reduce_word(presentation, [(u, 0), (v, 0)], level + 1)[0] for v in states]
+        for u in states
+    ]
+    o_v_x = [[zero_mode(v, x) for x in omega_vectors] for v in states]
     failures_product = []
     failures_commutator = []
     failures_semantic = []
 
-    omega_vectors, _ = omega_subspace(presentation, level, weight_bound)
-
-    for u in states:
-        for v in states:
-            expected = star_product(u, v, level)
-            got, _trace = reduce_word(presentation, [(u, 0), (v, 0)], level + 1)
+    for i, u in enumerate(states):
+        for j, v in enumerate(states):
+            got, expected = reduced[i][j], stars[i][j]
             if got != expected:
                 failures_product.append(
                     {"u": format_element(u), "v": format_element(v)}
                 )
                 continue
 
-            reverse = star_product(v, u, level)
-            got_rev, _ = reduce_word(presentation, [(v, 0), (u, 0)], level + 1)
-            difference = (got - got_rev) - (expected - reverse)
+            difference = (got - reduced[j][i]) - (expected - stars[j][i])
             if difference:
                 cutoff = max(weight_bound, difference.max_weight())
                 if build_zhu_context(presentation, level, cutoff).reduce(difference):
@@ -618,10 +624,8 @@ def homomorphism_check(
                         {"u": format_element(u), "v": format_element(v)}
                     )
 
-            word = word_expression(presentation, [(u, 0), (v, 0)])
-            reduced_mode = mode_symbol(got, 0)
-            for x in omega_vectors:
-                if evaluate_expression(word, x) != evaluate_expression(reduced_mode, x):
+            for x, image in zip(omega_vectors, o_v_x[j]):
+                if zero_mode(u, image) != zero_mode(got, x):
                     failures_semantic.append(
                         {
                             "u": format_element(u),

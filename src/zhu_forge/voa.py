@@ -406,6 +406,20 @@ def mode_action(u: FockVector, n: int, v: FockVector) -> FockVector:
     return extend_bilinearly(_mode_mono, u, n, v)
 
 
+def zero_mode(u: FockVector, x: FockVector) -> FockVector:
+    """The zero mode ``o(u) x``: each basis monomial ``m`` of ``u`` acts by
+    ``m_{wt(m)-1}``, so ``o`` is linear in ``u`` even when ``u`` is not
+    homogeneous, and the vacuum acts as the identity."""
+    u._check_same(x)
+    presentation = u.presentation
+    acc: dict[Monomial, Fraction] = {}
+    for umono, ucoeff in u.terms.items():
+        n = monomial_weight(umono) - 1
+        for xmono, xcoeff in x.terms.items():
+            add_scaled(acc, _mode_mono(presentation, umono, n, xmono), ucoeff * xcoeff)
+    return FockVector._adopt(presentation, acc)
+
+
 def truncation_bound(u: FockVector, v: FockVector) -> int:
     """An index ``I`` with ``u_n v = 0`` for every ``n >= I``.
 
@@ -419,7 +433,7 @@ def truncation_bound(u: FockVector, v: FockVector) -> int:
 
 def clear_caches() -> None:
     """Empty every table registered with :func:`memo`: normal ordering, the
-    mode action, ``zhu._circle_mono``, ``zhu._star_mono``, the weight slices
+    mode action, ``zhu._circle_mono``, the star weight slices
     ``zhu._star_slice`` and ``zhu.build_zhu_context``. The shared built-in
     presentations are kept."""
     for table in _MEMOS:

@@ -8,12 +8,12 @@ For a nonnegative level ``n`` the products are
 
 with ``u`` split into homogeneous parts first. Both are bilinear and a
 basis monomial is homogeneous, so each product is a memoized table of
-structure constants on pairs of basis monomials, extended to vectors by the
-same loop as the mode action (``voa.extend_bilinearly``); ``voa.clear_caches``
-empties every memo. The star constants are memoized by weight slice as well,
-so :func:`star_in_window` decides whether a product leaves a weight window
-from its slices above the cutoff alone, before any slice inside the window
-is computed. The level ideal is spanned by all circle products
+structure constants on pairs of basis monomials; ``voa.clear_caches``
+empties every memo. The circle table is extended to vectors by the loop of
+the mode action (``voa.extend_bilinearly``). The star table is kept by
+weight slice, so :func:`star_in_window` decides whether a product leaves a
+weight window from its slices above the cutoff alone; :func:`star_product`
+is the same sum of slices. The level ideal is spanned by all circle products
 together with ``L(-1)u + L(0)u``; a :class:`ZhuContext` holds the
 row-reduced span of the spanning vectors whose components all fit under a
 weight cutoff. That is an inner approximation of the ideal's intersection
@@ -50,6 +50,7 @@ from .voa import (
     mode_action,
     monomial_order,
     monomial_weight,
+    zero_mode,
 )
 
 
@@ -66,11 +67,10 @@ def circle_product(u: FockVector, v: FockVector, level: int) -> FockVector:
 
 
 def star_product(u: FockVector, v: FockVector, level: int) -> FockVector:
-    """The level-``level`` star product, exact: the bilinear extension of its
-    structure constants on basis monomials, which are memoized."""
-    if level < 0:
-        raise ValueError("level must be nonnegative")
-    return extend_bilinearly(_star_mono, u, level, v)
+    """The level-``level`` star product, exact: :func:`star_in_window` with
+    the cutoff at the top weight ``wt(u)+wt(v)+2*level``, so it sums every
+    memoized weight slice of the structure constants on basis monomials."""
+    return star_in_window(u, v, level, u.max_weight() + v.max_weight() + 2 * level)
 
 
 # A monomial is homogeneous, so the tables below need no weight split.
@@ -88,23 +88,6 @@ def _circle_mono(
     for i in range(top + 1):
         term = _mode_mono(presentation, umono, i - 2 * level - 2, vmono)
         add_scaled(acc, term, binomial(top, i))
-    return _freeze(acc)
-
-
-@memo
-def _star_mono(
-    presentation: Presentation, umono: Monomial, level: int, vmono: Monomial
-) -> Combo:
-    """``u *_level v`` for two basis monomials, from the defining sum."""
-    top = monomial_weight(umono) + level
-    acc: dict[Monomial, Fraction] = {}
-    for m in range(level + 1):
-        outer = binomial(m + level, level)
-        if m % 2:
-            outer = -outer
-        for i in range(top + 1):
-            term = _mode_mono(presentation, umono, i - m - level - 1, vmono)
-            add_scaled(acc, term, outer * binomial(top, i))
     return _freeze(acc)
 
 
@@ -170,9 +153,7 @@ def basic_circle_product(u: FockVector, v: FockVector) -> FockVector:
     acc: dict[Monomial, Fraction] = {}
     for wu, upart in u.weight_decomposition().items():
         for i in range(wu + 1):
-            c = binomial(wu, i)
-            if c:
-                add_scaled(acc, mode_action(upart, i - 2, v).terms.items(), c)
+            add_scaled(acc, mode_action(upart, i - 2, v).terms.items(), binomial(wu, i))
     return FockVector(u.presentation, acc)
 
 
@@ -182,9 +163,7 @@ def basic_star_product(u: FockVector, v: FockVector) -> FockVector:
     acc: dict[Monomial, Fraction] = {}
     for wu, upart in u.weight_decomposition().items():
         for i in range(wu + 1):
-            c = binomial(wu, i)
-            if c:
-                add_scaled(acc, mode_action(upart, i - 1, v).terms.items(), c)
+            add_scaled(acc, mode_action(upart, i - 1, v).terms.items(), binomial(wu, i))
     return FockVector(u.presentation, acc)
 
 
@@ -344,9 +323,10 @@ def omega_subspace(
 
     Inside the window of weight at most ``cutoff``, computes the common
     kernel of ``J_k(v) = v_{wt(v)-1+k}`` over basis states ``v`` and shifts
-    ``level < k <= cutoff``; checks the zero-shift modes preserve it and
-    whether it equals the sum of the weight spaces up to ``level``. The
-    quantification is truncated at the cutoff, which the report records.
+    ``level < k <= cutoff``; checks that the zero modes ``voa.zero_mode`` of
+    the basis states preserve it, and whether it equals the sum of the
+    weight spaces up to ``level``. The quantification is truncated at the
+    cutoff, which the report records.
 
     ``J_k`` lowers weight by exactly ``k``, so the kernel is solved one
     weight block at a time, with the shifts ``level < k <= weight``: a
@@ -377,10 +357,8 @@ def omega_subspace(
     kernel_rows, kernel_pivots = rref((v.terms for v in vectors), order=monomial_order)
     failures = []
     for v in basis_vectors(presentation, cutoff):
-        n = v.max_weight() - 1
         for x in vectors:
-            image = mode_action(v, n, x)
-            if reduce_vector(image.terms, kernel_rows, kernel_pivots):
+            if reduce_vector(zero_mode(v, x).terms, kernel_rows, kernel_pivots):
                 failures.append({"v": format_element(v), "x": format_element(x)})
                 break
         if failures:

@@ -268,8 +268,15 @@ VIRASORO_HALF = ["--voa", "virasoro", "--central-charge", "1/2"]
          "report_iso_virasoro_half_n1_w5.json"),
         (["omega", *VIRASORO_HALF, "--level", "1", "--cutoff", "6"],
          "report_omega_virasoro_half_n1_w6.json"),
+        (["iso", "--voa", "heisenberg", "--level", "2", "--cutoff", "4"],
+         "report_iso_heisenberg_n2_w4.json"),
+        (["omega", "--voa", "heisenberg", "--level", "2", "--cutoff", "6"],
+         "report_omega_heisenberg_n2_w6.json"),
     ],
-    ids=["axioms", "zhu", "zhu-heisenberg-n0", "zhu-heisenberg-n2", "iso", "omega"],
+    ids=[
+        "axioms", "zhu", "zhu-heisenberg-n0", "zhu-heisenberg-n2", "iso", "omega",
+        "iso-heisenberg-n2", "omega-heisenberg-n2",
+    ],
 )
 def test_suite_report_golden(argv, golden):
     # Pins the merged report of each suite subcommand, header included.

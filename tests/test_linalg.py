@@ -16,7 +16,7 @@ from zhu_forge import (
 from zhu_forge.linalg import Combination, add_scaled, kernel_basis, reduce_vector, rref
 from zhu_forge.modes import UEAExpression
 from zhu_forge.voa import FockVector, _mode_mono, monomial_order
-from zhu_forge.zhu import _circle_mono, _star_mono, spanning_vectors
+from zhu_forge.zhu import _circle_mono, _star_slice, spanning_vectors
 
 
 def F(x):
@@ -163,7 +163,8 @@ def test_products_and_reductions_stay_integer_first():
             for v in basis:
                 (umono,), (vmono,) = u.terms, v.terms
                 combos = [_circle_mono(presentation, umono, 1, vmono)]
-                combos += [_star_mono(presentation, umono, 1, vmono)]
+                top = u.max_weight() + v.max_weight() + 2
+                combos += [_star_slice(presentation, umono, 1, vmono, w) for w in range(top + 1)]
                 combos += [_mode_mono(presentation, umono, n, vmono) for n in range(-2, 5)]
                 products = [circle_product(u, v, 1), star_product(u, v, 1)]
                 products += [mode_action(u, n, v) for n in range(-2, 5)]

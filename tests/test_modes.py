@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zhu_forge import (
     FockVector,
@@ -29,7 +31,10 @@ from zhu_forge import (
     word_degree,
     word_expression,
 )
+from zhu_forge import cli, enumerate_basis
+from zhu_forge import modes as modes_module
 from zhu_forge.modes import UEAExpression, find_witness
+from zhu_forge.voa import zero_mode
 
 HEIS = builtin_presentation("heisenberg")
 VIR = builtin_presentation("virasoro", Fraction(1, 2))
@@ -473,28 +478,92 @@ def test_reduction_orders_agree_modulo_ideal():
 
 
 def test_homomorphism_check_sizes_each_commutator_context(monkeypatch):
-    # Perturb two reversed-pair reductions by elements of the level-0 ideal of
-    # weights 3 and 4: the second commutator difference is heavier than the
-    # first, and both must still reduce to zero.
-    import zhu_forge.modes as modes_module
-
+    # Perturb the reductions of two reversed pairs (v, u) by elements of the
+    # level-0 ideal of weights 3 and 4. Their exact product checks fail, and
+    # the commutators of (u, v), which read those entries, differ by the
+    # perturbations: the second context must be sized above the first.
     reduce_word_exact = modes_module.reduce_word
-    perturbations = iter(
-        translation_row(HEIS, mono(HEIS, *[(-1, "a")] * k)) for k in (2, 3)
-    )
-    calls = []
+    states = basis_vectors(HEIS, 2)
+    perturbations = {
+        (1, 0): translation_row(HEIS, mono(HEIS, *[(-1, "a")] * 2)),
+        (2, 1): translation_row(HEIS, mono(HEIS, *[(-1, "a")] * 3)),
+    }
+    assert [x.max_weight() for x in perturbations.values()] == [3, 4]
 
-    def perturbed(*args, **kwargs):
-        result, trace = reduce_word_exact(*args, **kwargs)
-        calls.append(args[1])
-        if len(calls) % 2 == 0:  # the second call of each pair reverses it
-            result = result + next(perturbations, FockVector.zero(HEIS))
-        return result, trace
+    def perturbed(presentation, factors, *args):
+        result, trace = reduce_word_exact(presentation, factors, *args)
+        key = tuple(states.index(x) for x, _ in factors)
+        return result + perturbations.get(key, FockVector.zero(HEIS)), trace
 
     monkeypatch.setattr(modes_module, "reduce_word", perturbed)
-    doc = homomorphism_check(HEIS, 0, 1)
-    assert len(calls) == 8
-    assert doc.passed
+    doc = homomorphism_check(HEIS, 0, 2)
+    records = {r.name.split("/")[-1]: r for r in doc.sorted_checks()}
+    product = records["reduction_matches_star_product"]
+    assert product.status == "fail"
+    assert product.witness == {"u": format_element(states[1]), "v": format_element(states[0])}
+    assert records["commutator_modulo_ideal"].status == "pass"
+    assert records["action_on_kernel_subspace"].status == "pass"
+
+
+def test_homomorphism_check_forms_each_pair_once(monkeypatch):
+    reduce_word_exact, star_product_exact = modes_module.reduce_word, modes_module.star_product
+    states = basis_vectors(HEIS, 3)
+    reductions, stars = [], []
+
+    def counting_reduce_word(presentation, factors, *args):
+        reductions.append(tuple(states.index(x) for x, _ in factors))
+        return reduce_word_exact(presentation, factors, *args)
+
+    def counting_star_product(u, v, level):
+        stars.append((states.index(u), states.index(v)))
+        return star_product_exact(u, v, level)
+
+    monkeypatch.setattr(modes_module, "reduce_word", counting_reduce_word)
+    monkeypatch.setattr(modes_module, "star_product", counting_star_product)
+    assert homomorphism_check(HEIS, 1, 3).passed
+    pairs = [(i, j) for i in range(len(states)) for j in range(len(states))]
+    assert sorted(reductions) == sorted(stars) == pairs
+
+
+def test_iso_fails_when_only_heavier_left_reductions_are_wrong(monkeypatch, capsys):
+    # A mutation that no commutator check modulo the ideal can see: the
+    # reduction of J_0(u) J_0(v) is off by an ideal element exactly when u is
+    # heavier than v. Only the product check on that ordered pair catches it.
+    reduce_word_exact = modes_module.reduce_word
+
+    def wrong_when_left_heavier(presentation, factors, *args):
+        result, trace = reduce_word_exact(presentation, factors, *args)
+        (u, _), (v, _) = factors
+        if u.max_weight() > v.max_weight():
+            result = result + translation_row(presentation, result)
+        return result, trace
+
+    monkeypatch.setattr(modes_module, "reduce_word", wrong_when_left_heavier)
+    assert cli.main(["iso", "--voa", "heisenberg", "--level", "1", "--cutoff", "3"]) == 1
+    capsys.readouterr()
+    doc = homomorphism_check(HEIS, 1, 3)
+    records = {r.name.split("/")[-1]: r for r in doc.sorted_checks()}
+    assert records["reduction_matches_star_product"].status == "fail"
+    assert records["commutator_modulo_ideal"].status == "pass"
+    witness = records["reduction_matches_star_product"].witness
+    assert witness == {"u": format_element(A), "v": format_element(FockVector.vacuum(HEIS))}
+
+
+@st.composite
+def vectors_with_vacuum(draw, presentation):
+    """Inhomogeneous vectors of weight at most 3 with a vacuum component."""
+    monos = [m for _, ms in enumerate_basis(presentation, 3) for m in ms if m]
+    chosen = [()] + draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+    return FockVector(presentation, {m: draw(coeffs) for m in chosen})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from((HEIS, VIR)))
+def test_zero_mode_matches_letter_by_letter_evaluation(data, presentation):
+    u = data.draw(vectors_with_vacuum(presentation))
+    x = data.draw(vectors_with_vacuum(presentation))
+    assert zero_mode(u, x) == evaluate_expression(mode_symbol(u, 0), x)
 
 
 def test_homomorphism_check_passes():
