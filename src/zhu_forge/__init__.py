@@ -22,7 +22,6 @@ from .modes import (
     homomorphism_check,
     mode_symbol,
     pair_expansion,
-    raw_mode,
     reduce_word,
     reordering_residual,
     replay_trace,
@@ -104,7 +103,6 @@ __all__ = [
     "FiltrationWitness",
     "ReductionTrace",
     "mode_symbol",
-    "raw_mode",
     "word_expression",
     "word_degree",
     "format_word",

@@ -14,6 +14,13 @@ is at least ``-k`` (:func:`filtration_report`); such a suffix also
 annihilates every vector killed by all shifts above ``-k-1``, which is what
 makes discarding deep tails sound in :func:`reduce_word`.
 
+The current-algebra bracket, the single-mode side of the Jacobi identity
+and the head of the pair rewrite all have the form
+``J_shift(sum c * u_k v)``. For basis monomials of ``u`` and ``v`` the shift
+and the pairs ``(k, c)`` depend only on the two weights, so all three are
+one sum (:func:`_single_mode_sum`) over pairs of basis monomials, read from
+the memoized mode-action table.
+
 No relation between modes of ``u`` and modes of ``L(-1)u`` is applied to
 words automatically; identities are checked either per-word with identical
 arguments or semantically through :func:`evaluate_expression`.
@@ -31,6 +38,7 @@ from .voa import (
     FockVector,
     Monomial,
     Presentation,
+    _mode_mono,
     basis_vectors,
     format_element,
     format_monomial,
@@ -78,37 +86,44 @@ class UEAExpression(Combination):
         return "UEAExpression(" + " + ".join(parts) + ")"
 
 
-def _put_factor(acc: dict[Word, Fraction], mono: Monomial, shift: int, coeff: Fraction) -> None:
-    """Record ``coeff * J_shift(mono)``, collapsing vacuum modes.
-
-    Distinct monomials give distinct one-letter words, so callers that pass
-    each monomial once never need to add coefficients.
-    """
-    if mono:
-        acc[((mono, shift),)] = coeff
-    elif shift == 0:
-        # J_k(vac) is the identity for k = 0 and zero otherwise.
-        acc[()] = coeff
+def _letters(terms, shift: int):
+    """The one-letter words ``(J_shift(mono), coeff)`` of ``terms``, with
+    vacuum modes collapsed: ``J_0(vac)`` is the empty word and every other
+    vacuum shift is dropped. Distinct monomials give distinct words."""
+    for mono, coeff in terms:
+        if mono:
+            yield ((mono, shift),), coeff
+        elif shift == 0:
+            yield (), coeff
 
 
 def mode_symbol(argument: FockVector, shift: int) -> UEAExpression:
     """The symbol ``J_shift(argument)``, linear in the argument."""
-    acc: dict[Word, Fraction] = {}
-    for mono, coeff in argument.terms.items():
-        _put_factor(acc, mono, shift, coeff)
-    return UEAExpression._adopt(argument.presentation, acc)
+    letters = _letters(argument.terms.items(), shift)
+    return UEAExpression._adopt(argument.presentation, dict(letters))
 
 
-def raw_mode(argument: FockVector, index: int) -> UEAExpression:
-    """The raw current-algebra mode ``argument(index)``.
-
-    Converted to shifted form per homogeneous component: for a component of
-    weight ``d`` the raw index ``index`` has shift ``index - d + 1``.
-    """
-    acc: dict[Word, Fraction] = {}
-    for mono, coeff in argument.terms.items():
-        _put_factor(acc, mono, index - monomial_weight(mono) + 1, coeff)
-    return UEAExpression._adopt(argument.presentation, acc)
+def _single_mode_sum(u: FockVector, v: FockVector, expansion) -> dict[Word, Fraction]:
+    """``sum c * J_shift(m_k n)`` over basis monomials ``m`` of ``u`` and
+    ``n`` of ``v``, of weights ``a`` and ``b``, where ``expansion(a, b)``
+    returns ``shift`` and the pairs ``(k, c)``. The vectors ``m_k n`` are
+    read from the memoized ``voa._mode_mono`` table; ``m_k n`` has weight
+    ``a+b-k-1``, so it is zero for ``k >= a+b``."""
+    u._check_same(v)
+    presentation = u.presentation
+    by_shift: dict[int, dict[Monomial, Fraction]] = {}
+    for umono, ucoeff in u.terms.items():
+        a = monomial_weight(umono)
+        for vmono, vcoeff in v.terms.items():
+            shift, pairs = expansion(a, monomial_weight(vmono))
+            acc = by_shift.setdefault(shift, {})
+            for k, c in pairs:
+                if c:
+                    add_scaled(acc, _mode_mono(presentation, umono, k, vmono), c * ucoeff * vcoeff)
+    words: dict[Word, Fraction] = {}
+    for shift, acc in by_shift.items():
+        words.update(_letters(acc.items(), shift))
+    return words
 
 
 def word_expression(
@@ -124,23 +139,16 @@ def word_expression(
 def vhat_bracket(u: FockVector, m: int, v: FockVector, n: int) -> UEAExpression:
     """Commutator ``[u(m), v(n)]`` in the current algebra, in shifted form.
 
-    Expands ``sum_i C(m, i) (u_i v)(m+n-i)``; the sum is finite because high
-    modes of ``u`` kill ``v``.
+    Expands ``sum_i C(m, i) (u_i v)(m+n-i)``. For basis monomials of
+    weights ``a`` and ``b`` the vector ``u_i v`` has weight ``a+b-i-1``, so
+    the sum stops at ``i = a+b-1`` and every raw mode ``(u_i v)(m+n-i)`` has
+    the same shift ``m+n-a-b+2``.
     """
-    u._check_same(v)
-    acc: dict[Word, Fraction] = {}
-    for wu, upart in u.weight_decomposition().items():
-        for wv, vpart in v.weight_decomposition().items():
-            for i in range(wu + wv + 1):
-                c = binomial(m, i)
-                if not c:
-                    if m >= 0 and i > m:
-                        break
-                    continue
-                inner = mode_action(upart, i, vpart)
-                if inner:
-                    add_scaled(acc, raw_mode(inner, m + n - i).terms.items(), c)
-    return UEAExpression._adopt(u.presentation, acc)
+
+    def expansion(a: int, b: int):
+        return m + n - a - b + 2, ((i, binomial(m, i)) for i in range(a + b))
+
+    return UEAExpression._adopt(u.presentation, _single_mode_sum(u, v, expansion))
 
 
 def expand_iterate_side(
@@ -148,20 +156,11 @@ def expand_iterate_side(
 ) -> UEAExpression:
     """Single-mode side of the Jacobi identity in shifted indices:
     ``sum_i C(m + wt(u) - 1, i) J_{m+n+ell}(u_{ell+i} v)``."""
-    u._check_same(v)
-    acc: dict[Word, Fraction] = {}
-    shift = m + n + ell
-    for wu, upart in u.weight_decomposition().items():
-        for wv, vpart in v.weight_decomposition().items():
-            top = wu + wv - 1 - ell  # beyond this u_{ell+i} v = 0
-            for i in range(max(top, 0) + 1):
-                c = binomial(m + wu - 1, i)
-                if not c:
-                    continue
-                inner = mode_action(upart, ell + i, vpart)
-                if inner:
-                    add_scaled(acc, mode_symbol(inner, shift).terms.items(), c)
-    return UEAExpression._adopt(u.presentation, acc)
+
+    def expansion(a: int, b: int):
+        return m + n + ell, ((ell + i, binomial(m + a - 1, i)) for i in range(a + b - ell))
+
+    return UEAExpression._adopt(u.presentation, _single_mode_sum(u, v, expansion))
 
 
 def expand_product_side(
@@ -297,22 +296,19 @@ def pair_expansion(
     (guaranteed here).
     """
     _check_pair_hypothesis(s, depth)
-    u._check_same(v)
-    presentation = u.presentation
-    acc: dict[Word, Fraction] = {}
-    for wu, upart in u.weight_decomposition().items():
-        for j in range(depth + 1):
-            cj = binomial(-depth - s - 1, j)
-            for i in range(depth + wu + 1):
-                ci = binomial(depth + wu, i)
-                if not ci or not cj:
-                    continue
-                inner = mode_action(upart, -depth - s - 1 - j + i, v)
-                if inner:
-                    add_scaled(acc, mode_symbol(inner, t - s).terms.items(), ci * cj)
+
+    def expansion(a: int, b: int):
+        pairs = (
+            (-depth - s - 1 - j + i, binomial(depth + a, i) * binomial(-depth - s - 1, j))
+            for j in range(depth + 1)
+            for i in range(depth + a + 1)
+        )
+        return t - s, pairs
+
+    acc = _single_mode_sum(u, v, expansion)
     if right_bound is not None:
         _add_pair_tails(acc, s, t, depth, u, v, right_bound - t, right_bound - depth - 1)
-    return UEAExpression._adopt(presentation, acc)
+    return UEAExpression._adopt(u.presentation, acc)
 
 
 def _check_pair_hypothesis(s: int, depth: int) -> None:
@@ -504,8 +500,9 @@ def reduce_word(
             }
         expression = UEAExpression(presentation, raw)
     for word in expression.terms:
-        if word_degree(word) != 0:
-            raise ValueError(f"word is not degree zero: {format_word(word)}")
+        degree = word_degree(word)
+        if degree != 0:
+            raise ValueError(f"word {format_word(word)} has degree {degree}, not 0")
 
     trace = ReductionTrace(mod_level=mod_level, variant=variant)
     current = expression

@@ -272,10 +272,12 @@ VIRASORO_HALF = ["--voa", "virasoro", "--central-charge", "1/2"]
          "report_iso_heisenberg_n2_w4.json"),
         (["omega", "--voa", "heisenberg", "--level", "2", "--cutoff", "6"],
          "report_omega_heisenberg_n2_w6.json"),
+        (["appendix", "--N", "0..2", "--seed", "1"],
+         "report_appendix_heisenberg_n0-2_seed1.json"),
     ],
     ids=[
         "axioms", "zhu", "zhu-heisenberg-n0", "zhu-heisenberg-n2", "iso", "omega",
-        "iso-heisenberg-n2", "omega-heisenberg-n2",
+        "iso-heisenberg-n2", "omega-heisenberg-n2", "appendix",
     ],
 )
 def test_suite_report_golden(argv, golden):
@@ -298,6 +300,28 @@ def test_span_out_golden(tmp_path, argv, golden):
     span = tmp_path / "span.json"
     run_cli("zhu", *argv, "--level", "1", "--span-out", str(span))
     assert span.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("variant", ["rightmost", "leftmost"])
+def test_reduce_golden(tmp_path, variant):
+    # An inhomogeneous first factor with a vacuum component, three letters
+    # and mod level 2: pins the rewritten vector and every trace step.
+    trace = tmp_path / "trace.json"
+    result = run_cli(
+        "reduce",
+        "--expr",
+        "J[2](a[-2]vac + 2vac)J[-1](a[-1]a[-1]vac)J[-1](a[-3]vac - a[-1]vac)",
+        "--mod-level",
+        "2",
+        "--variant",
+        variant,
+        "--trace",
+        str(trace),
+    )
+    golden = GOLDEN / f"reduce_heisenberg_mod2_{variant}.txt"
+    assert result.stdout.encode() == golden.read_bytes()
+    golden_trace = GOLDEN / f"reduce_trace_heisenberg_mod2_{variant}.json"
+    assert trace.read_bytes() == golden_trace.read_bytes()
 
 
 REDUCE = ["reduce", "--expr", "J[0](a[-1]vac)J[0](a[-1]vac)", "--mod-level", "1"]

@@ -21,7 +21,6 @@ from zhu_forge import (
     mode_symbol,
     omega_subspace,
     pair_expansion,
-    raw_mode,
     reduce_word,
     reordering_residual,
     replay_trace,
@@ -46,6 +45,20 @@ def mono(presentation, *modes):
     return FockVector.from_monomial(presentation, tuple(modes))
 
 
+def mixed_pool(presentation, max_weight=3):
+    """The basis up to ``max_weight``, then sums of basis vectors of
+    different weights, each with a vacuum component."""
+    basis = basis_vectors(presentation, max_weight)
+    vac = FockVector.vacuum(presentation)
+    heavy = list({v.max_weight(): v for v in basis if v.max_weight() > 0}.values())
+    assert len(heavy) >= 2
+    return basis + [
+        vac + heavy[-1],
+        heavy[0] - 3 * vac + Fraction(1, 2) * heavy[-1],
+        sum(heavy[1:], vac + heavy[0]),
+    ]
+
+
 # --- symbols and vacuum collapse ------------------------------------------------
 
 
@@ -54,9 +67,13 @@ def test_vacuum_modes_collapse():
     assert mode_symbol(vac, 0) == UEAExpression.scalar(HEIS, 1)
     assert mode_symbol(vac, 2).is_zero
     assert mode_symbol(vac, -1).is_zero
-    # raw index -1 on the vacuum is the identity: shift 0.
-    assert raw_mode(vac, -1) == UEAExpression.scalar(HEIS, 1)
-    assert raw_mode(vac, 3).is_zero
+    # vac(-1) is the identity, so it commutes with every mode.
+    for presentation in (HEIS, VIR):
+        identity = FockVector.vacuum(presentation)
+        for u in mixed_pool(presentation):
+            for m in range(-3, 4):
+                assert vhat_bracket(u, m, identity, -1).is_zero
+                assert vhat_bracket(identity, -1, u, m).is_zero
 
 
 def test_word_degree_bookkeeping():
@@ -121,18 +138,19 @@ def test_bracket_antisymmetry_semantically():
 
 def test_bracket_matches_commutator_of_actions():
     rng = random.Random(17)
-    pool = basis_vectors(HEIS, 3)
-    for _ in range(30):
-        u = pool[rng.randrange(len(pool))]
-        v = pool[rng.randrange(len(pool))]
-        m = rng.randint(-3, 3)
-        n = rng.randint(-3, 3)
-        bracket = vhat_bracket(u, m, v, n)
-        for x in basis_vectors(HEIS, 3):
-            direct = mode_action(u, m, mode_action(v, n, x)) - mode_action(
-                v, n, mode_action(u, m, x)
-            )
-            assert evaluate_expression(bracket, x) == direct
+    for presentation in (HEIS, VIR):
+        pool = mixed_pool(presentation)
+        for _ in range(30):
+            u = pool[rng.randrange(len(pool))]
+            v = pool[rng.randrange(len(pool))]
+            m = rng.randint(-3, 3)
+            n = rng.randint(-3, 3)
+            bracket = vhat_bracket(u, m, v, n)
+            for x in basis_vectors(presentation, 3):
+                direct = mode_action(u, m, mode_action(v, n, x)) - mode_action(
+                    v, n, mode_action(u, m, x)
+                )
+                assert evaluate_expression(bracket, x) == direct
 
 
 # --- the two Jacobi sides ---------------------------------------------------------
@@ -175,7 +193,7 @@ def test_product_side_degree_and_finiteness():
 def test_jacobi_sides_agree_on_vectors():
     rng = random.Random(12)
     for presentation in (HEIS, VIR):
-        pool = basis_vectors(presentation, 3)
+        pool = mixed_pool(presentation)
         targets = basis_vectors(presentation, 4)
         for _ in range(25):
             u = pool[rng.randrange(len(pool))]
@@ -318,7 +336,7 @@ def test_pair_expansion_head_matches_star_under_zero_shifts():
 def test_pair_expansion_operator_identity():
     rng = random.Random(3)
     for presentation in (HEIS, VIR):
-        pool = basis_vectors(presentation, 3)
+        pool = mixed_pool(presentation)
         targets = basis_vectors(presentation, 5)
         for _ in range(30):
             s = rng.randint(-2, 2)
