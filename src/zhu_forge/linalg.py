@@ -135,26 +135,20 @@ def rref(rows: Iterable[Row], order: Callable) -> tuple[list[Row], dict]:
     """Reduce rows to RREF; returns (rows, pivot key -> row index).
 
     Each returned row has leading coefficient 1 and its leading key appears
-    in no other row.
+    in no other row. Stored rows stay in full RREF, each holding exactly one
+    pivot key, so subtracting one stored row never brings back another
+    pivot key: a new row is cleared of every pivot in one pass, and its
+    leading key is found once.
     """
     pivot_rows: dict[Hashable, Row] = {}
 
     for raw in rows:
         row = dict(raw)
-        while row:
-            lead = max(row, key=order)
-            existing = pivot_rows.get(lead)
-            if existing is None:
-                break
-            add_scaled(row, existing.items(), -row[lead])
+        for key in [k for k in row if k in pivot_rows]:
+            add_scaled(row, pivot_rows[key].items(), -row[key])
         if not row:
             continue
-        # Clear every stored pivot from the non-leading positions too, so
-        # each kept row contains exactly one pivot key (full RREF).
-        for key in [k for k in row if k in pivot_rows and k != lead]:
-            coeff = row.get(key)
-            if coeff:
-                add_scaled(row, pivot_rows[key].items(), -coeff)
+        lead = max(row, key=order)
         inv = 1 / Fraction(row[lead])
         row = {k: exact(v * inv) for k, v in row.items()}
         for other in pivot_rows.values():

@@ -18,8 +18,9 @@ The current-algebra bracket, the single-mode side of the Jacobi identity
 and the head of the pair rewrite all have the form
 ``J_shift(sum c * u_k v)``. For basis monomials of ``u`` and ``v`` the shift
 and the pairs ``(k, c)`` depend only on the two weights, so all three are
-one sum (:func:`_single_mode_sum`) over pairs of basis monomials, read from
-the memoized mode-action table.
+one sum (:func:`_single_mode_sum`) that reads the memoized mode-action
+table once per index ``k``. Two-letter words ``J_p(u) J_q(v)`` are built
+straight from pairs of terms (:func:`_add_two_letters`).
 
 No relation between modes of ``u`` and modes of ``L(-1)u`` is applied to
 words automatically; identities are checked either per-word with identical
@@ -103,22 +104,34 @@ def mode_symbol(argument: FockVector, shift: int) -> UEAExpression:
     return UEAExpression._adopt(argument.presentation, dict(letters))
 
 
+def _add_two_letters(acc: dict, u: FockVector, p: int, v: FockVector, q: int, coeff) -> None:
+    """``acc += coeff * J_p(u) J_q(v)`` over pairs of terms, with vacuum
+    letters collapsed as in :func:`_letters`."""
+    right = list(_letters(v.terms.items(), q))
+    for left, c in _letters(u.terms.items(), p):
+        add_scaled(acc, ((left + w, d) for w, d in right), c * coeff)
+
+
 def _single_mode_sum(u: FockVector, v: FockVector, expansion) -> dict[Word, Fraction]:
     """``sum c * J_shift(m_k n)`` over basis monomials ``m`` of ``u`` and
     ``n`` of ``v``, of weights ``a`` and ``b``, where ``expansion(a, b)``
-    returns ``shift`` and the pairs ``(k, c)``. The vectors ``m_k n`` are
-    read from the memoized ``voa._mode_mono`` table; ``m_k n`` has weight
-    ``a+b-k-1``, so it is zero for ``k >= a+b``."""
+    returns ``shift`` and the pairs ``(k, c)``. Each ``m_k n`` is read from
+    the memoized ``voa._mode_mono`` table once, with the summed coefficient
+    of ``k``; it has weight ``a+b-k-1``, so ``k >= a+b`` is skipped."""
     u._check_same(v)
     presentation = u.presentation
     by_shift: dict[int, dict[Monomial, Fraction]] = {}
     for umono, ucoeff in u.terms.items():
         a = monomial_weight(umono)
         for vmono, vcoeff in v.terms.items():
-            shift, pairs = expansion(a, monomial_weight(vmono))
+            b = monomial_weight(vmono)
+            shift, pairs = expansion(a, b)
             acc = by_shift.setdefault(shift, {})
+            per_k: dict[int, int] = {}
             for k, c in pairs:
-                if c:
+                per_k[k] = per_k.get(k, 0) + c
+            for k, c in per_k.items():
+                if c and k < a + b:
                     add_scaled(acc, _mode_mono(presentation, umono, k, vmono), c * ucoeff * vcoeff)
     words: dict[Word, Fraction] = {}
     for shift, acc in by_shift.items():
@@ -200,12 +213,9 @@ def expand_product_side(
             continue
         coeff = -c if i % 2 else c
         if ell >= 0 or n + i <= right_bound:
-            first = mode_symbol(u, m + ell - i).concat(mode_symbol(v, n + i))
-            add_scaled(acc, first.terms.items(), coeff)
-        flip = -coeff if ell % 2 == 0 else coeff
+            _add_two_letters(acc, u, m + ell - i, v, n + i, coeff)
         if ell >= 0 or m + i <= right_bound:
-            second = mode_symbol(v, n + ell - i).concat(mode_symbol(u, m + i))
-            add_scaled(acc, second.terms.items(), flip)
+            _add_two_letters(acc, v, n + ell - i, u, m + i, -coeff if ell % 2 == 0 else coeff)
     return UEAExpression._adopt(u.presentation, acc)
 
 
@@ -255,17 +265,19 @@ def reordering_residual(
     u._check_same(v)
     presentation = u.presentation
 
-    margin = 2 * bound + abs(s) + abs(t) + depth + 4
     # Accumulate lhs - rhs in one dict; clipping is a projection, so it can
-    # be applied to the difference. The tails are built only up to the
-    # window's edge; the clip still trims the product side.
+    # be applied to the difference. A product-side word omitted at right
+    # bound ``bound`` has a right shift above it, so the clip drops it anyway;
+    # ``depth + 1`` and ``t + depth`` keep the bound at least ``max(m, n)``.
+    # The tails stop at the window's edge.
+    right_bound = max(bound, depth + 1, t + depth)
     acc: dict[Word, Fraction] = {}
     for j in range(depth + 1):
         c = binomial(-depth - s - 1, j)
-        side = expand_product_side(u, v, depth + 1, t + j, -depth - s - 1 - j, right_bound=margin)
+        side = expand_product_side(u, v, depth + 1, t + j, -depth - s - 1 - j, right_bound)
         add_scaled(acc, side.terms.items(), c)
 
-    add_scaled(acc, word_expression(presentation, [(u, -s), (v, t)]).terms.items(), -1)
+    _add_two_letters(acc, u, -s, v, t, -1)
     _add_pair_tails(
         acc, s, t, depth, u, v, bound - max(s, t), bound - depth - 1 - max(0, s - t)
     )
@@ -331,23 +343,20 @@ def _add_pair_tails(
     """Add both tail families of the pair rewrite to ``acc``: right factors
     ``J_{k+t}(v)`` for ``depth < k <= k_top`` and ``J_{depth+1+i}(u)`` for
     ``0 <= i <= i_top``, each coefficient summed over ``j`` first."""
-    presentation = u.presentation
     for k in range(depth + 1, k_top + 1):
         c = sum(
             (-1 if j % 2 else 1) * binomial(depth + s + j, j) * binomial(depth + s + k, k - j)
             for j in range(depth + 1)
         )
         if c:
-            words = word_expression(presentation, [(u, -k - s), (v, k + t)])
-            add_scaled(acc, words.terms.items(), -c)
+            _add_two_letters(acc, u, -k - s, v, k + t, -c)
     sign = -1 if (depth + s + 1) % 2 else 1
     for i in range(i_top + 1):
         c = sum(
             binomial(depth + s + j, j) * binomial(depth + s + j + i, i) for j in range(depth + 1)
         )
         if c:
-            words = word_expression(presentation, [(v, t - depth - s - 1 - i), (u, depth + 1 + i)])
-            add_scaled(acc, words.terms.items(), sign * c)
+            _add_two_letters(acc, v, t - depth - s - 1 - i, u, depth + 1 + i, sign * c)
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,12 @@ def _free_monomials(presentation: Presentation, cutoff: int, pivots: dict) -> Di
     return DimensionTable(rows)
 
 
+def _weighted_basis(presentation: Presentation, max_weight: int) -> list[tuple[int, FockVector]]:
+    """``basis_vectors`` paired with their weights, read from the enumeration."""
+    basis = enumerate_basis(presentation, max_weight)
+    return [(w, FockVector.from_monomial(presentation, m)) for w, monos in basis for m in monos]
+
+
 def spanning_vectors(presentation: Presentation, level: int, cutoff: int) -> list[FockVector]:
     """Generators of the truncated level ideal that fit under the cutoff.
 
@@ -240,10 +246,10 @@ def spanning_vectors(presentation: Presentation, level: int, cutoff: int) -> lis
     """
     vectors: list[FockVector] = []
     pairs_bound = cutoff - 2 * level - 1
-    flat = basis_vectors(presentation, max(pairs_bound, 0))
-    for u in flat:
-        for v in flat:
-            if u.max_weight() + v.max_weight() + 2 * level + 1 <= cutoff:
+    flat = _weighted_basis(presentation, max(pairs_bound, 0))
+    for wu, u in flat:
+        for wv, v in flat:
+            if wu + wv <= pairs_bound:
                 prod = circle_product(u, v, level)
                 if prod:
                     vectors.append(prod)
@@ -281,11 +287,11 @@ def an_dims(presentation: Presentation, level: int, cutoff: int) -> DimensionTab
 
 def c2_dims(presentation: Presentation, cutoff: int) -> DimensionTable:
     """Graded dimensions of the weight-truncated quotient by span{u_{-2} v}."""
-    flat = basis_vectors(presentation, max(cutoff - 1, 0))
+    flat = _weighted_basis(presentation, max(cutoff - 1, 0))
     vectors = []
-    for u in flat:
-        for v in flat:
-            if u.max_weight() + v.max_weight() + 1 <= cutoff:
+    for wu, u in flat:
+        for wv, v in flat:
+            if wu + wv < cutoff:
                 prod = mode_action(u, -2, v)
                 if prod:
                     vectors.append(prod.terms)

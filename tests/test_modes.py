@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -315,6 +316,27 @@ def test_reordering_rejects_flipped_tail_coefficient():
         assert not residual_with_flipped_coefficient(s, t, depth, A, A, 8).is_zero
 
 
+def test_product_side_window_clip_needs_only_the_window():
+    # reordering_residual builds the product side at right bound
+    # max(bound, depth + 1, t + depth); inside the window [-bound, bound]
+    # that gives the same words as the old wide margin.
+    def clipped(expr, bound):
+        return {w: c for w, c in expr.terms.items() if all(-bound <= k <= bound for _, k in w)}
+
+    for presentation in (HEIS, VIR):
+        mixed = mixed_pool(presentation)[-3:]
+        grid = [(-2, 1, 2), (0, -2, 1), (1, 2, 0), (2, -1, 3), (-1, 3, 1), (0, 0, 0)]
+        for (u, v), (s, t, depth) in itertools.product(zip(mixed, mixed[1:] + mixed[:1]), grid):
+            for bound in (0, 3, 6):
+                margin = 2 * bound + abs(s) + abs(t) + depth + 4
+                right_bound = max(bound, depth + 1, t + depth)
+                for j in range(depth + 1):
+                    args = (u, v, depth + 1, t + j, -depth - s - 1 - j)
+                    tight = expand_product_side(*args, right_bound=right_bound)
+                    wide = expand_product_side(*args, right_bound=margin)
+                    assert clipped(tight, bound) == clipped(wide, bound), (s, t, depth, bound, j)
+
+
 # --- pair expansion ----------------------------------------------------------------
 
 
@@ -331,6 +353,38 @@ def test_pair_expansion_head_matches_star_under_zero_shifts():
                 head = pair_expansion(0, 0, level, u, v)
                 expected = mode_symbol(star_product(u, v, level), 0)
                 assert head == expected
+
+
+def test_pair_expansion_head_matches_docstring_double_sum():
+    # The head as written in pair_expansion's docstring, one (i, j) term at
+    # a time over the basis monomials of u. With s < -wt(v) - 1 some
+    # indices k reach wt(u) + wt(v), where u_k v has negative weight.
+    from zhu_forge.combinatorics import binomial
+
+    def double_sum(s, t, depth, u, v):
+        total = UEAExpression.zero(u.presentation)
+        for umono, ucoeff in u.terms.items():
+            a = sum(-m for m, _ in umono)
+            m = FockVector.from_monomial(u.presentation, umono)
+            for j in range(depth + 1):
+                for i in range(depth + a + 1):
+                    c = binomial(depth + a, i) * binomial(-depth - s - 1, j)
+                    k = -depth - s - 1 - j + i
+                    total = total + c * ucoeff * mode_symbol(mode_action(m, k, v), t - s)
+        return total
+
+    high_k = 0
+    for presentation in (HEIS, VIR):
+        pool = mixed_pool(presentation)[-3:] + basis_vectors(presentation, 2)[1:3]
+        for u in pool[:3]:
+            for v in pool:
+                for s, t, depth in [(-5, 1, 5), (-4, -4, 4), (-2, 0, 2), (0, 0, 2), (3, -1, 0)]:
+                    b = v.max_weight()
+                    if s < -b - 1:
+                        high_k += 1
+                    head = pair_expansion(s, t, depth, u, v)
+                    assert head == double_sum(s, t, depth, u, v), (s, t, depth)
+    assert high_k
 
 
 def test_pair_expansion_operator_identity():
@@ -582,6 +636,24 @@ def test_zero_mode_matches_letter_by_letter_evaluation(data, presentation):
     u = data.draw(vectors_with_vacuum(presentation))
     x = data.draw(vectors_with_vacuum(presentation))
     assert zero_mode(u, x) == evaluate_expression(mode_symbol(u, 0), x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.data(),
+    st.sampled_from((HEIS, VIR)),
+    st.integers(-2, 2),
+    st.integers(-2, 2),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+def test_add_two_letters_matches_word_expression(data, presentation, p, q, coeff):
+    u = data.draw(vectors_with_vacuum(presentation))
+    v = data.draw(vectors_with_vacuum(presentation))
+    base = word_expression(presentation, [(v, p), (u, q)])
+    acc = dict(base.terms)
+    modes_module._add_two_letters(acc, u, p, v, q, coeff)
+    expected = base + coeff * word_expression(presentation, [(u, p), (v, q)])
+    assert UEAExpression(presentation, acc) == expected
 
 
 def test_homomorphism_check_passes():
