@@ -170,13 +170,13 @@ def _input_error(exc: Exception) -> str:
     return str(exc)
 
 
-_RANGE_FLAGS = ("--s", "--t", "--N")
-_RANGE_VALUE = re.compile(r"^-?\d+(\.\.-?\d+)?$")
+_RANGE_FLAGS = ("--s", "--t", "--N", "--central-charge")
+_RANGE_VALUE = re.compile(r"^-?\d+(\.\.-?\d+|/\d+)?$")
 
 
 def _merge_range_flags(argv: list[str]) -> list[str]:
-    """Join range flags with values like ``-2..2`` that argparse would
-    otherwise read as options."""
+    """Join range flags and ``--central-charge`` with values like ``-2..2``
+    or ``-22/5`` that argparse would otherwise read as options."""
     out: list[str] = []
     i = 0
     while i < len(argv):

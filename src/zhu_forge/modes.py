@@ -17,10 +17,12 @@ makes discarding deep tails sound in :func:`reduce_word`.
 The current-algebra bracket, the single-mode side of the Jacobi identity
 and the head of the pair rewrite all have the form
 ``J_shift(sum c * u_k v)``. For basis monomials of ``u`` and ``v`` the shift
-and the pairs ``(k, c)`` depend only on the two weights, so all three are
-one sum (:func:`_single_mode_sum`) that reads the memoized mode-action
-table once per index ``k``. Two-letter words ``J_p(u) J_q(v)`` are built
-straight from pairs of terms (:func:`_add_two_letters`).
+and the pairs ``(k, c)`` depend only on the two weights, so each is one call
+of the term-pair kernel ``voa.mode_sum``, which the Zhu products share and
+which reads the memoized mode-action table once per index ``k``; the pair
+rewrite sums its coefficients per ``k`` first. Two-letter words
+``J_p(u) J_q(v)`` are built straight from pairs of terms
+(:func:`_add_two_letters`).
 
 No relation between modes of ``u`` and modes of ``L(-1)u`` is applied to
 words automatically; identities are checked either per-word with identical
@@ -39,11 +41,11 @@ from .voa import (
     FockVector,
     Monomial,
     Presentation,
-    _mode_mono,
     basis_vectors,
     format_element,
     format_monomial,
     mode_action,
+    mode_sum,
     monomial_weight,
     zero_mode,
 )
@@ -112,29 +114,10 @@ def _add_two_letters(acc: dict, u: FockVector, p: int, v: FockVector, q: int, co
         add_scaled(acc, ((left + w, d) for w, d in right), c * coeff)
 
 
-def _single_mode_sum(u: FockVector, v: FockVector, expansion) -> dict[Word, Fraction]:
-    """``sum c * J_shift(m_k n)`` over basis monomials ``m`` of ``u`` and
-    ``n`` of ``v``, of weights ``a`` and ``b``, where ``expansion(a, b)``
-    returns ``shift`` and the pairs ``(k, c)``. Each ``m_k n`` is read from
-    the memoized ``voa._mode_mono`` table once, with the summed coefficient
-    of ``k``; it has weight ``a+b-k-1``, so ``k >= a+b`` is skipped."""
-    u._check_same(v)
-    presentation = u.presentation
-    by_shift: dict[int, dict[Monomial, Fraction]] = {}
-    for umono, ucoeff in u.terms.items():
-        a = monomial_weight(umono)
-        for vmono, vcoeff in v.terms.items():
-            b = monomial_weight(vmono)
-            shift, pairs = expansion(a, b)
-            acc = by_shift.setdefault(shift, {})
-            per_k: dict[int, int] = {}
-            for k, c in pairs:
-                per_k[k] = per_k.get(k, 0) + c
-            for k, c in per_k.items():
-                if c and k < a + b:
-                    add_scaled(acc, _mode_mono(presentation, umono, k, vmono), c * ucoeff * vcoeff)
+def _shifted_letters(groups: dict[int, dict[Monomial, Fraction]]) -> dict[Word, Fraction]:
+    """The one-letter words of the groups ``{shift: terms}`` of ``mode_sum``."""
     words: dict[Word, Fraction] = {}
-    for shift, acc in by_shift.items():
+    for shift, acc in groups.items():
         words.update(_letters(acc.items(), shift))
     return words
 
@@ -161,7 +144,7 @@ def vhat_bracket(u: FockVector, m: int, v: FockVector, n: int) -> UEAExpression:
     def expansion(a: int, b: int):
         return m + n - a - b + 2, ((i, binomial(m, i)) for i in range(a + b))
 
-    return UEAExpression._adopt(u.presentation, _single_mode_sum(u, v, expansion))
+    return UEAExpression._adopt(u.presentation, _shifted_letters(mode_sum(u, v, expansion)))
 
 
 def expand_iterate_side(
@@ -173,7 +156,7 @@ def expand_iterate_side(
     def expansion(a: int, b: int):
         return m + n + ell, ((ell + i, binomial(m + a - 1, i)) for i in range(a + b - ell))
 
-    return UEAExpression._adopt(u.presentation, _single_mode_sum(u, v, expansion))
+    return UEAExpression._adopt(u.presentation, _shifted_letters(mode_sum(u, v, expansion)))
 
 
 def expand_product_side(
@@ -310,14 +293,15 @@ def pair_expansion(
     _check_pair_hypothesis(s, depth)
 
     def expansion(a: int, b: int):
-        pairs = (
-            (-depth - s - 1 - j + i, binomial(depth + a, i) * binomial(-depth - s - 1, j))
-            for j in range(depth + 1)
-            for i in range(depth + a + 1)
-        )
-        return t - s, pairs
+        per_k: dict[int, int] = {}
+        for j in range(depth + 1):
+            cj = binomial(-depth - s - 1, j)
+            for i in range(depth + a + 1):
+                k = -depth - s - 1 - j + i
+                per_k[k] = per_k.get(k, 0) + cj * binomial(depth + a, i)
+        return t - s, per_k.items()
 
-    acc = _single_mode_sum(u, v, expansion)
+    acc = _shifted_letters(mode_sum(u, v, expansion))
     if right_bound is not None:
         _add_pair_tails(acc, s, t, depth, u, v, right_bound - t, right_bound - depth - 1)
     return UEAExpression._adopt(u.presentation, acc)

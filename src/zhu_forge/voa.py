@@ -17,7 +17,8 @@ bracket of two stored modes ``g(m), h(n)`` always lands on stored index
 General states expose their full tower of modes through
 :func:`mode_action`, computed with the iterate formula derived from the
 Jacobi identity; :func:`axiom_suite` checks the axioms themselves on the
-resulting structure with exact arithmetic.
+resulting structure with exact arithmetic. Weighted sums of modes (the zero
+mode, Zhu products, single-mode words) share one kernel, :func:`mode_sum`.
 """
 
 from __future__ import annotations
@@ -106,7 +107,10 @@ class Presentation:
 
 
 def monomial_weight(mono: Monomial) -> int:
-    return -sum(m for m, _ in mono)
+    weight = 0
+    for m, _ in mono:
+        weight -= m
+    return weight
 
 
 def monomial_order(mono: Monomial) -> tuple:
@@ -384,16 +388,25 @@ def apply_generator_mode(
     return FockVector(presentation, acc)
 
 
-def extend_bilinearly(table, u: FockVector, index: int, v: FockVector) -> FockVector:
-    """The bilinear extension to ``u, v`` of a product given on basis
-    monomials by ``table(presentation, umono, index, vmono)``."""
+def mode_sum(u: FockVector, v: FockVector, expansion) -> dict[int, dict[Monomial, Fraction]]:
+    """Sums ``c * m_k n`` over basis monomials ``m`` of ``u`` and ``n`` of
+    ``v``, grouped by key: for the weights ``a, b`` of ``m, n``,
+    ``expansion(a, b)`` returns the key and the pairs ``(k, c)``, at most
+    one per index ``k``. Each ``m_k n`` is one read of ``_mode_mono``; it
+    has weight ``a+b-k-1``, so ``k >= a+b`` is skipped."""
     u._check_same(v)
     presentation = u.presentation
-    acc: dict[Monomial, Fraction] = {}
+    vterms = [(vmono, monomial_weight(vmono), vcoeff) for vmono, vcoeff in v.terms.items()]
+    groups: dict[int, dict[Monomial, Fraction]] = {}
     for umono, ucoeff in u.terms.items():
-        for vmono, vcoeff in v.terms.items():
-            add_scaled(acc, table(presentation, umono, index, vmono), ucoeff * vcoeff)
-    return FockVector._adopt(presentation, acc)
+        a = monomial_weight(umono)
+        for vmono, b, vcoeff in vterms:
+            key, pairs = expansion(a, b)
+            acc = groups.setdefault(key, {})
+            for k, c in pairs:
+                if c and k < a + b:
+                    add_scaled(acc, _mode_mono(presentation, umono, k, vmono), c * ucoeff * vcoeff)
+    return groups
 
 
 def mode_action(u: FockVector, n: int, v: FockVector) -> FockVector:
@@ -403,21 +416,21 @@ def mode_action(u: FockVector, n: int, v: FockVector) -> FockVector:
     the output is homogeneous of weight ``wt(u) + wt(v) - n - 1`` when both
     inputs are homogeneous.
     """
-    return extend_bilinearly(_mode_mono, u, n, v)
+    u._check_same(v)
+    presentation = u.presentation
+    acc: dict[Monomial, Fraction] = {}
+    for umono, ucoeff in u.terms.items():
+        for vmono, vcoeff in v.terms.items():
+            add_scaled(acc, _mode_mono(presentation, umono, n, vmono), ucoeff * vcoeff)
+    return FockVector._adopt(presentation, acc)
 
 
 def zero_mode(u: FockVector, x: FockVector) -> FockVector:
     """The zero mode ``o(u) x``: each basis monomial ``m`` of ``u`` acts by
     ``m_{wt(m)-1}``, so ``o`` is linear in ``u`` even when ``u`` is not
     homogeneous, and the vacuum acts as the identity."""
-    u._check_same(x)
-    presentation = u.presentation
-    acc: dict[Monomial, Fraction] = {}
-    for umono, ucoeff in u.terms.items():
-        n = monomial_weight(umono) - 1
-        for xmono, xcoeff in x.terms.items():
-            add_scaled(acc, _mode_mono(presentation, umono, n, xmono), ucoeff * xcoeff)
-    return FockVector._adopt(presentation, acc)
+    acc = mode_sum(u, x, lambda a, b: (0, ((a - 1, 1),))).get(0, {})
+    return FockVector._adopt(u.presentation, acc)
 
 
 def truncation_bound(u: FockVector, v: FockVector) -> int:
@@ -432,10 +445,10 @@ def truncation_bound(u: FockVector, v: FockVector) -> int:
 
 
 def clear_caches() -> None:
-    """Empty every table registered with :func:`memo`: normal ordering, the
-    mode action, ``zhu._circle_mono``, the star weight slices
-    ``zhu._star_slice`` and ``zhu.build_zhu_context``. The shared built-in
-    presentations are kept."""
+    """Empty every table registered with :func:`memo`: normal ordering
+    (``_apply_mono``), the mode action (``_mode_mono``), the star
+    coefficients ``zhu._star_coefficients`` and ``zhu.build_zhu_context``.
+    The shared built-in presentations are kept."""
     for table in _MEMOS:
         table.cache_clear()
 

@@ -6,20 +6,21 @@ For a nonnegative level ``n`` the products are
     star:    u *_n v = sum_{m=0}^{n} sum_i (-1)^m C(m+n, n) C(wt(u)+n, i)
                         u_{i-m-n-1} v
 
-with ``u`` split into homogeneous parts first. Both are bilinear and a
-basis monomial is homogeneous, so each product is a memoized table of
-structure constants on pairs of basis monomials; ``voa.clear_caches``
-empties every memo. The circle table is extended to vectors by the loop of
-the mode action (``voa.extend_bilinearly``). The star table is kept by
-weight slice, so :func:`star_in_window` decides whether a product leaves a
-weight window from its slices above the cutoff alone; :func:`star_product`
-is the same sum of slices. The level ideal is spanned by all circle products
-together with ``L(-1)u + L(0)u``; a :class:`ZhuContext` holds the
-row-reduced span of the spanning vectors whose components all fit under a
-weight cutoff. That is an inner approximation of the ideal's intersection
-with the weight window: whenever a reduction returns zero the membership is
-certain, while a nonzero reduction may still be in the ideal. Reducing a
-vector above the cutoff raises instead of truncating silently.
+with ``u`` split into homogeneous parts first. For a basis monomial ``u`` of
+weight ``a`` each is a sum of modes ``u_k v`` with integer coefficients that
+depend only on ``a``, the level and ``k``, so no structure constants are
+stored: :func:`circle_product` is one :func:`voa.mode_sum`, and each weight
+slice of the star product is one mode ``u_k v`` times one entry of the table
+:func:`_star_coefficients`. :func:`star_in_window` decides whether a product
+leaves a weight window from its slices above the cutoff alone;
+:func:`star_product` is the same sum at the top weight. The level ideal is
+spanned by all circle products together with ``L(-1)u + L(0)u``; a
+:class:`ZhuContext` holds the row-reduced span of the spanning vectors whose
+components all fit under a weight cutoff. That is an inner approximation of
+the ideal's intersection with the weight window: whenever a reduction
+returns zero the membership is certain, while a nonzero reduction may still
+be in the ideal. Reducing a vector above the cutoff raises instead of
+truncating silently. ``voa.clear_caches`` empties every memo.
 
 The subspace of :func:`omega_subspace`, the joint kernel of the modes of
 shift above the level, is graded as well and is solved one weight block at
@@ -30,24 +31,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .combinatorics import binomial
 from .linalg import add_scaled, kernel_basis, reduce_vector, rref
 from .report import CheckRecord, DimensionTable, ReportDocument
 from .voa import (
-    Combo,
     FockVector,
     Monomial,
     Presentation,
-    _freeze,
     _mode_mono,
     basis_vectors,
     enumerate_basis,
-    extend_bilinearly,
     format_element,
     format_monomial,
     memo,
     mode_action,
+    mode_sum,
     monomial_order,
     monomial_weight,
     zero_mode,
@@ -59,65 +59,51 @@ class WeightOverflowError(ValueError):
 
 
 def circle_product(u: FockVector, v: FockVector, level: int) -> FockVector:
-    """The level-``level`` circle product, exact: the bilinear extension of its
-    structure constants on basis monomials, which are memoized."""
+    """The level-``level`` circle product, exact: for ``u`` of weight ``a``
+    the coefficient of ``u_k v`` is ``C(a+level, k+2*level+2)``, so the
+    product is one :func:`voa.mode_sum` over term pairs."""
     if level < 0:
         raise ValueError("level must be nonnegative")
-    return extend_bilinearly(_circle_mono, u, level, v)
+
+    def expansion(a: int, b: int):
+        top = a + level
+        return 0, ((i - 2 * level - 2, binomial(top, i)) for i in range(top + 1))
+
+    return FockVector._adopt(u.presentation, mode_sum(u, v, expansion).get(0, {}))
 
 
 def star_product(u: FockVector, v: FockVector, level: int) -> FockVector:
     """The level-``level`` star product, exact: :func:`star_in_window` with
-    the cutoff at the top weight ``wt(u)+wt(v)+2*level``, so it sums every
-    memoized weight slice of the structure constants on basis monomials."""
+    the cutoff at the top weight ``wt(u)+wt(v)+2*level``."""
     return star_in_window(u, v, level, u.max_weight() + v.max_weight() + 2 * level)
 
 
-# A monomial is homogeneous, so the tables below need no weight split.
-# Each result is frozen as sorted (monomial, coefficient) pairs, and
-# ``voa.clear_caches`` empties every memo.
-
-
 @memo
-def _circle_mono(
-    presentation: Presentation, umono: Monomial, level: int, vmono: Monomial
-) -> Combo:
-    """``u o_level v`` for two basis monomials, from the defining sum."""
-    top = monomial_weight(umono) + level
-    acc: dict[Monomial, Fraction] = {}
-    for i in range(top + 1):
-        term = _mode_mono(presentation, umono, i - 2 * level - 2, vmono)
-        add_scaled(acc, term, binomial(top, i))
-    return _freeze(acc)
-
-
-@memo
-def _star_slice(
-    presentation: Presentation, umono: Monomial, level: int, vmono: Monomial, weight: int
-) -> Combo:
-    """The weight-``weight`` component of ``u *_level v`` for two basis
-    monomials. The term ``u_{i-m-level-1} v`` lands at weight
-    ``wt(u)+wt(v)-i+m+level``, so each ``m`` gives at most one ``i``."""
-    top = monomial_weight(umono) + level
-    base = top + monomial_weight(vmono) - weight
-    acc: dict[Monomial, Fraction] = {}
-    for m in range(level + 1):
-        i = base + m
-        if 0 <= i <= top:
-            coeff = binomial(m + level, level) * binomial(top, i)
-            term = _mode_mono(presentation, umono, i - m - level - 1, vmono)
-            add_scaled(acc, term, -coeff if m % 2 else coeff)
-    return _freeze(acc)
+def _star_coefficients(a: int, level: int) -> tuple[int, ...]:
+    """Entry ``d`` is the coefficient of ``u_{a-1-d} v`` in ``u *_level v``
+    for ``u`` of weight ``a``; that term has weight ``wt(v)+d``. The term
+    ``u_{i-m-level-1} v`` of the defining sum has ``i = a+level-d+m``, so
+    each ``m`` gives at most one ``i``."""
+    top = a + level
+    return tuple(
+        sum(
+            (-1) ** m * binomial(m + level, level) * binomial(top, top - d + m)
+            for m in range(level + 1)
+        )
+        for d in range(a + 2 * level + 1)
+    )
 
 
 def star_in_window(u: FockVector, v: FockVector, level: int, cutoff: int) -> FockVector | None:
     """``star_product(u, v, level)`` if all its components have weight at
     most ``cutoff``, else ``None``.
 
-    The slices above the cutoff are summed over all term pairs, top slice
-    first, and the first nonzero sum means overflow; cancellation between
-    term pairs is computed, not assumed. A pair of weights ``a, b`` has
-    slices from ``b`` to ``a+b+2*level``.
+    For basis monomials ``m, n`` of weights ``a, b``, the weight-``w`` slice
+    of ``m *_level n`` is ``m_{a+b-1-w} n`` times entry ``w-b`` of
+    :func:`_star_coefficients`, so it lies between weights ``b`` and
+    ``a+b+2*level``. The slices above the cutoff are summed over all term
+    pairs, top slice first, and the first nonzero sum means overflow;
+    cancellation between term pairs is computed, not assumed.
     """
     if level < 0:
         raise ValueError("level must be nonnegative")
@@ -125,25 +111,33 @@ def star_in_window(u: FockVector, v: FockVector, level: int, cutoff: int) -> Foc
     presentation = u.presentation
     vterms = [(vmono, monomial_weight(vmono), vcoeff) for vmono, vcoeff in v.terms.items()]
     pairs = [
-        (umono, vmono, b, a + b + 2 * level, ucoeff * vcoeff)
+        (umono, a + b - 1, vmono, b, a + b + 2 * level, table, ucoeff * vcoeff)
         for umono, ucoeff in u.terms.items()
         for a in (monomial_weight(umono),)
+        for table in (_star_coefficients(a, level),)
         for vmono, b, vcoeff in vterms
     ]
-
-    def add_slice(acc: dict, weight: int) -> dict:
-        for umono, vmono, low, high, coeff in pairs:
-            if low <= weight <= high:
-                add_scaled(acc, _star_slice(presentation, umono, level, vmono, weight), coeff)
-        return acc
-
-    top = max((high for _, _, _, high, _ in pairs), default=-1)
+    top = max([pair[4] for pair in pairs], default=-1)
     for weight in range(top, cutoff, -1):
-        if add_slice({}, weight):
+        parts = [
+            (_mode_mono(presentation, umono, ab - weight, vmono), table[weight - b] * coeff)
+            for umono, ab, vmono, b, high, table, coeff in pairs
+            if b <= weight <= high and table[weight - b]
+        ]
+        if len(parts) == 1 and parts[0][0]:
+            return None  # one term with a nonzero coefficient cannot cancel
+        acc: dict[Monomial, Fraction] = {}
+        for term, c in parts:
+            add_scaled(acc, term, c)
+        if acc:
             return None
-    acc: dict[Monomial, Fraction] = {}
-    for weight in range(min(top, cutoff) + 1):
-        add_slice(acc, weight)
+    acc = {}
+    for umono, ab, vmono, b, high, table, coeff in pairs:
+        # Entry d of the table is the slice at weight b+d.
+        for d in range(min(high, cutoff) - b + 1):
+            c = table[d]
+            if c:
+                add_scaled(acc, _mode_mono(presentation, umono, ab - b - d, vmono), c * coeff)
     return FockVector._adopt(presentation, acc)
 
 
@@ -200,8 +194,12 @@ class ZhuContext:
         if x.presentation != self.presentation:
             raise ValueError("vector belongs to a different presentation")
         self.check_weight(x)
-        reduced = reduce_vector(x.terms, [row.terms for row in self.rows], self.pivots)
-        return FockVector(self.presentation, reduced)
+        reduced = reduce_vector(x.terms, self._row_terms, self.pivots)
+        return FockVector._adopt(self.presentation, reduced)
+
+    @cached_property
+    def _row_terms(self) -> list[dict[Monomial, Fraction]]:
+        return [row.terms for row in self.rows]
 
     def dimension_table(self) -> DimensionTable:
         """Non-pivot monomial counts per weight: an upper bound on the graded
@@ -277,7 +275,7 @@ def build_zhu_context(presentation: Presentation, level: int, cutoff: int) -> Zh
             "the vacuum acquired a pivot: the truncated ideal contains the "
             "identity, which contradicts the quotient having a unit"
         )
-    frozen = tuple(FockVector(presentation, row) for row in rows)
+    frozen = tuple(FockVector._adopt(presentation, row) for row in rows)
     return ZhuContext(presentation, level, cutoff, frozen, pivots)
 
 

@@ -250,6 +250,20 @@ def test_appendix_range_flags():
     assert doc["summary"]["fail"] == 0
 
 
+def test_negative_fractional_central_charge_is_a_value():
+    # argparse alone reads "-22/5" as a flag; the Lee-Yang charge must parse.
+    result = run_cli(
+        "parse", "--voa", "virasoro", "--central-charge", "-22/5", "--expr", "L[2]L[-2]vac"
+    )
+    assert result.stdout.strip() == "-11/5 vac"
+    result = run_cli(
+        "zhu", "--voa", "virasoro", "--central-charge", "-1/2", "--level", "0", "--cutoff", "3"
+    )
+    doc = json.loads(result.stdout)
+    assert doc["config"]["central_charge"] == "-1/2"
+    assert doc["summary"]["fail"] == 0
+
+
 VIRASORO_HALF = ["--voa", "virasoro", "--central-charge", "1/2"]
 
 

@@ -15,8 +15,8 @@ from zhu_forge import (
 )
 from zhu_forge.linalg import Combination, add_scaled, kernel_basis, reduce_vector, rref
 from zhu_forge.modes import UEAExpression
-from zhu_forge.voa import FockVector, _mode_mono, monomial_order
-from zhu_forge.zhu import _circle_mono, _star_slice, spanning_vectors
+from zhu_forge.voa import FockVector, _mode_mono, monomial_order, zero_mode
+from zhu_forge.zhu import spanning_vectors
 
 
 def F(x):
@@ -153,8 +153,9 @@ def test_combination_stores_int_unless_denominator_exceeds_one():
 
 
 def test_products_and_reductions_stay_integer_first():
-    # The memo tables, the products built on them and the row reduction keep
-    # every coefficient in integer-first form; Heisenberg needs no Fraction.
+    # The mode-action table, the products built on it and the row reduction
+    # keep every coefficient in integer-first form; Heisenberg needs no
+    # Fraction.
     voa.clear_caches()
     for presentation in (HEIS, VIR):
         basis = basis_vectors(presentation, 4)
@@ -162,11 +163,8 @@ def test_products_and_reductions_stay_integer_first():
         for u in basis:
             for v in basis:
                 (umono,), (vmono,) = u.terms, v.terms
-                combos = [_circle_mono(presentation, umono, 1, vmono)]
-                top = u.max_weight() + v.max_weight() + 2
-                combos += [_star_slice(presentation, umono, 1, vmono, w) for w in range(top + 1)]
-                combos += [_mode_mono(presentation, umono, n, vmono) for n in range(-2, 5)]
-                products = [circle_product(u, v, 1), star_product(u, v, 1)]
+                combos = [_mode_mono(presentation, umono, n, vmono) for n in range(-2, 5)]
+                products = [circle_product(u, v, 1), star_product(u, v, 1), zero_mode(u, v)]
                 products += [mode_action(u, n, v) for n in range(-2, 5)]
                 coefficients += [c for combo in combos for _, c in combo]
                 coefficients += [c for x in products for c in x.terms.values()]

@@ -1,7 +1,10 @@
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import zhu_forge
 from zhu_forge import builtin_presentation, cli, modes, voa, zhu
 from zhu_forge.report import CheckRecord
 from zhu_forge.suites import appendix_suite, deep_tail_witness_suite, zhu_structure_suite
@@ -66,15 +69,32 @@ def test_reports_do_not_depend_on_memo_state():
 
     first = reports()
     warm = reports()
-    assert zhu._star_slice.cache_info().currsize > 0
+    assert all(table.cache_info().currsize > 0 for table in voa._MEMOS)
     voa.clear_caches()
-    assert voa._apply_mono.cache_info().currsize == 0
-    assert voa._mode_mono.cache_info().currsize == 0
-    assert zhu._circle_mono.cache_info().currsize == 0
-    assert zhu._star_slice.cache_info().currsize == 0
-    assert zhu.build_zhu_context.cache_info().currsize == 0
+    assert all(table.cache_info().currsize == 0 for table in voa._MEMOS)
     cold = reports()
     assert first == warm == cold
+
+
+def test_every_lru_cache_is_a_registered_memo():
+    # clear_caches empties _MEMOS, so a cache missing from it would let
+    # results depend on memo state. _intern_builtin is deliberately kept.
+    modules = [
+        importlib.import_module(f"zhu_forge.{info.name}")
+        for info in pkgutil.iter_modules(zhu_forge.__path__)
+    ]
+    caches = {
+        (module.__name__, name): value
+        for module in modules
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_clear") and value.__module__ == module.__name__
+    }
+    assert ("zhu_forge.voa", "_intern_builtin") in caches
+    assert ("zhu_forge.zhu", "build_zhu_context") in caches
+    registered = {id(table) for table in voa._MEMOS}
+    for (module_name, name), cache in caches.items():
+        if (module_name, name) != ("zhu_forge.voa", "_intern_builtin"):
+            assert id(cache) in registered, f"{module_name}.{name} is not in voa._MEMOS"
 
 
 def test_appendix_suite_draws_s_with_a_valid_depth():

@@ -27,8 +27,8 @@ from zhu_forge import (
     translation_row,
     voa,
 )
-from zhu_forge.linalg import add_scaled
-from zhu_forge.zhu import _star_slice, an_dims, spanning_vectors
+from zhu_forge.voa import _mode_mono
+from zhu_forge.zhu import _star_coefficients, an_dims, spanning_vectors
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -168,17 +168,21 @@ def test_star_in_window_matches_star_product(data, presentation, level, cutoff):
 
 @settings(max_examples=40, deadline=None)
 @given(st.data(), st.sampled_from((HEIS, VIR)), st.integers(0, 2))
-def test_star_slices_sum_to_defining_sum(data, presentation, level):
+def test_star_slice_is_one_mode_times_a_table_coefficient(data, presentation, level):
+    # For basis monomials of weights a, b the weight-w part of the star
+    # product is c * m_{a+b-1-w} n, with c read from the coefficient table
+    # (zero outside it).
     monos = [m for _, ms in voa.enumerate_basis(presentation, 4) for m in ms]
     umono, vmono = data.draw(st.sampled_from(monos)), data.draw(st.sampled_from(monos))
-    top = voa.monomial_weight(umono) + voa.monomial_weight(vmono) + 2 * level
-    total: dict = {}
-    for weight in range(top + 3):
-        part = _star_slice(presentation, umono, level, vmono, weight)
-        assert all(voa.monomial_weight(m) == weight for m, _ in part)
-        add_scaled(total, part)
+    a, b = voa.monomial_weight(umono), voa.monomial_weight(vmono)
+    table = _star_coefficients(a, level)
     expected = reference_star(mono(presentation, *umono), mono(presentation, *vmono), level)
-    assert total == expected.terms
+    parts = expected.weight_decomposition()
+    for weight in range(a + b + 2 * level + 3):
+        c = table[weight - b] if 0 <= weight - b < len(table) else 0
+        term = dict(_mode_mono(presentation, umono, a + b - 1 - weight, vmono))
+        want = parts.get(weight, FockVector.zero(presentation))
+        assert c * FockVector(presentation, term) == want
 
 
 def test_star_in_window_computes_cancellation_above_the_cutoff():
@@ -208,9 +212,9 @@ def test_builtin_presentations_are_shared():
     assert builtin_presentation("virasoro", 0) is builtin_presentation("virasoro", Fraction(0))
     modes = ((-3, "L"), (-2, "L"))
     star_product(mono(first, *modes), mono(first, (-2, "L")), 1)
-    before = _star_slice.cache_info()
+    before = voa._mode_mono.cache_info()
     star_product(mono(second, *modes), mono(second, (-2, "L")), 1)
-    after = _star_slice.cache_info()
+    after = voa._mode_mono.cache_info()
     assert after.hits > before.hits
     assert after.misses == before.misses
     voa.clear_caches()
