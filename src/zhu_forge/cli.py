@@ -175,13 +175,15 @@ _RANGE_VALUE = re.compile(r"^-?\d+(\.\.-?\d+|/\d+)?$")
 
 
 def _merge_range_flags(argv: list[str]) -> list[str]:
-    """Join range flags and ``--central-charge`` with values like ``-2..2``
-    or ``-22/5`` that argparse would otherwise read as options."""
+    """Join range flags and ``--central-charge``, or a prefix of one, with
+    values like ``-2..2`` or ``-22/5`` that argparse would otherwise read as
+    options; argparse still rejects a prefix that is ambiguous."""
     out: list[str] = []
     i = 0
     while i < len(argv):
         token = argv[i]
-        if token in _RANGE_FLAGS and i + 1 < len(argv) and _RANGE_VALUE.match(argv[i + 1]):
+        names = [flag for flag in _RANGE_FLAGS if flag.startswith(token)]
+        if len(names) == 1 and i + 1 < len(argv) and _RANGE_VALUE.match(argv[i + 1]):
             out.append(f"{token}={argv[i + 1]}")
             i += 2
         else:
@@ -206,15 +208,24 @@ def _config_flags(path: str) -> list[str]:
 
 
 def _find_config_path(argv: list[str]) -> str | None:
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if token.startswith("--config="):
-            return token.split("=", 1)[1]
-    return None
+    """The ``--config`` value, the flag abbreviated as argparse allows
+    (``--conf``); the full parser still rejects an ambiguous ``--c``."""
+    config = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    config.add_argument("--config")
+    try:
+        return config.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:
+        return None  # the full parser reports it
+
+
+_parser: argparse.ArgumentParser | None = None
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Built on the first call, not at import; parse_args keeps no state.
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     argv = list(argv)
@@ -227,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 2
-    args = build_parser().parse_args(_merge_range_flags(argv))
+    args = _parser.parse_args(_merge_range_flags(argv))
     try:
         return _run(args)
     except OSError as exc:

@@ -77,7 +77,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 class _Cursor:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
 
@@ -156,10 +155,10 @@ def _parse_term(cursor: _Cursor, presentation: Presentation) -> FockVector:
     return vector
 
 
-def _parse_sum(text: str, presentation: Presentation, parse_term, cls, what: str):
-    """``['-'] term (('+'|'-') term)*``, summed into one ``cls`` instance."""
-    cursor = _Cursor(text)
-    if cursor.peek()[0] == "end":
+def _parse_sum(cursor: _Cursor, presentation: Presentation, parse_term, cls, what: str, stop="end"):
+    """``['-'] term (('+'|'-') term)*`` up to and including the token
+    ``stop``, summed into one ``cls`` instance."""
+    if cursor.peek()[0] == stop:
         raise ParseError(f"empty {what}", cursor.peek()[2])
     sign = 1
     if cursor.peek()[0] == "minus":
@@ -169,8 +168,10 @@ def _parse_sum(text: str, presentation: Presentation, parse_term, cls, what: str
     while True:
         add_scaled(total, parse_term(cursor, presentation).terms.items(), sign)
         kind, _, pos = cursor.advance()
-        if kind == "end":
+        if kind == stop:
             return cls(presentation, total)
+        if kind == "end":  # only a mode argument stops elsewhere
+            raise ParseError("unterminated mode argument", pos)
         if kind not in ("plus", "minus"):
             raise ParseError("expected '+' or '-'", pos)
         sign = 1 if kind == "plus" else -1
@@ -183,7 +184,7 @@ def parse_element(text: str, presentation: Presentation) -> FockVector:
     >>> parse_element("1/2 a[-1]a[-1]vac", P) == P.conformal_vector()
     True
     """
-    return _parse_sum(text, presentation, _parse_term, FockVector, "element")
+    return _parse_sum(_Cursor(text), presentation, _parse_term, FockVector, "element")
 
 
 def _parse_uterm(cursor: _Cursor, presentation: Presentation) -> UEAExpression:
@@ -197,27 +198,9 @@ def _parse_uterm(cursor: _Cursor, presentation: Presentation) -> UEAExpression:
             shift = _parse_signed_int(cursor)
             cursor.expect("rbrack", "']'")
             cursor.expect("lparen", "'('")
-            # Scan the balanced argument and reuse the element parser.
-            depth = 1
-            start = cursor.peek()[2]
-            while True:
-                kind2, _, pos2 = cursor.peek()
-                if kind2 == "end":
-                    raise ParseError("unterminated mode argument", pos2)
-                if kind2 == "lparen":
-                    depth += 1
-                if kind2 == "rparen":
-                    depth -= 1
-                    if depth == 0:
-                        end = pos2
-                        cursor.advance()
-                        break
-                cursor.advance()
-            argument_text = cursor.text[start:end]
-            try:
-                argument = parse_element(argument_text, presentation)
-            except ParseError as exc:
-                raise ParseError(str(exc).rsplit(" (at column", 1)[0], start + exc.position) from None
+            argument = _parse_sum(
+                cursor, presentation, _parse_term, FockVector, "element", "rparen"
+            )
             factors.append((argument, shift))
             continue
         break
@@ -233,4 +216,4 @@ def _parse_uterm(cursor: _Cursor, presentation: Presentation) -> UEAExpression:
 
 def parse_uea(text: str, presentation: Presentation) -> UEAExpression:
     """Parse a mode-expression literal, vacuum modes collapsed."""
-    return _parse_sum(text, presentation, _parse_uterm, UEAExpression, "expression")
+    return _parse_sum(_Cursor(text), presentation, _parse_uterm, UEAExpression, "expression")

@@ -38,9 +38,9 @@ def zhu_structure_suite(presentation: Presentation, level: int, cutoff: int) -> 
     truncated span is a two-sided star ideal, star is associative modulo the
     span for all in-range basis triples, the conformal class is central at
     level 0, and the translation rows vanish in the quotient. Products
-    whose output leaves the window are skipped, not truncated: overflow is
-    decided by :func:`zhu.star_in_window` from the product's weight slices
-    above the cutoff, so a skipped product is never formed in full.
+    whose output leaves the window are skipped, not truncated: every check
+    decides overflow from weights alone, the star products through
+    :func:`zhu.star_in_window`, so a skipped product is never formed.
     """
     ctx = build_zhu_context(presentation, level, cutoff)
     vac = FockVector.vacuum(presentation)

@@ -9,11 +9,12 @@ For a nonnegative level ``n`` the products are
 with ``u`` split into homogeneous parts first. For a basis monomial ``u`` of
 weight ``a`` each is a sum of modes ``u_k v`` with integer coefficients that
 depend only on ``a``, the level and ``k``, so no structure constants are
-stored: :func:`circle_product` is one :func:`voa.mode_sum`, and each weight
-slice of the star product is one mode ``u_k v`` times one entry of the table
-:func:`_star_coefficients`. :func:`star_in_window` decides whether a product
-leaves a weight window from its slices above the cutoff alone;
-:func:`star_product` is the same sum at the top weight. The level ideal is
+stored: :func:`circle_product` and :func:`star_product` are one
+:func:`voa.mode_sum` each, the star coefficients read from the table
+:func:`_star_coefficients`. Products are windowed by weight alone:
+:func:`spanning_vectors` keeps a circle product whose top weight fits under
+the cutoff, and :func:`star_in_window` skips a star product whose top
+component, which never vanishes, lies above it. The level ideal is
 spanned by all circle products together with ``L(-1)u + L(0)u``; a
 :class:`ZhuContext` holds the row-reduced span of the spanning vectors whose
 components all fit under a weight cutoff. That is an inner approximation of
@@ -73,9 +74,16 @@ def circle_product(u: FockVector, v: FockVector, level: int) -> FockVector:
 
 
 def star_product(u: FockVector, v: FockVector, level: int) -> FockVector:
-    """The level-``level`` star product, exact: :func:`star_in_window` with
-    the cutoff at the top weight ``wt(u)+wt(v)+2*level``."""
-    return star_in_window(u, v, level, u.max_weight() + v.max_weight() + 2 * level)
+    """The level-``level`` star product, exact: for ``u`` of weight ``a``
+    the coefficient of ``u_{a-1-d} v`` is entry ``d`` of
+    :func:`_star_coefficients`, so the product is one :func:`voa.mode_sum`."""
+    if level < 0:
+        raise ValueError("level must be nonnegative")
+
+    def expansion(a: int, b: int):
+        return 0, ((a - 1 - d, c) for d, c in enumerate(_star_coefficients(a, level)))
+
+    return FockVector._adopt(u.presentation, mode_sum(u, v, expansion).get(0, {}))
 
 
 @memo
@@ -96,49 +104,21 @@ def _star_coefficients(a: int, level: int) -> tuple[int, ...]:
 
 def star_in_window(u: FockVector, v: FockVector, level: int, cutoff: int) -> FockVector | None:
     """``star_product(u, v, level)`` if all its components have weight at
-    most ``cutoff``, else ``None``.
-
-    For basis monomials ``m, n`` of weights ``a, b``, the weight-``w`` slice
-    of ``m *_level n`` is ``m_{a+b-1-w} n`` times entry ``w-b`` of
-    :func:`_star_coefficients`, so it lies between weights ``b`` and
-    ``a+b+2*level``. The slices above the cutoff are summed over all term
-    pairs, top slice first, and the first nonzero sum means overflow;
-    cancellation between term pairs is computed, not assumed.
+    most ``cutoff``, else ``None``, decided from weights before any mode is
+    read. For nonzero ``u, v`` of top weights ``a, b`` the product is a
+    multiple of ``v`` if ``a = 0`` (``u`` is then one of the vacuum), and
+    otherwise its top is ``(-1)^level C(2 level, level) u_{-1-2 level} v``
+    of weight ``a+b+2 level``, which never vanishes: in Li's standard
+    filtration both presentations have a polynomial associated graded, on
+    which ``L(-1)`` is an injective derivation.
     """
     if level < 0:
         raise ValueError("level must be nonnegative")
     u._check_same(v)
-    presentation = u.presentation
-    vterms = [(vmono, monomial_weight(vmono), vcoeff) for vmono, vcoeff in v.terms.items()]
-    pairs = [
-        (umono, a + b - 1, vmono, b, a + b + 2 * level, table, ucoeff * vcoeff)
-        for umono, ucoeff in u.terms.items()
-        for a in (monomial_weight(umono),)
-        for table in (_star_coefficients(a, level),)
-        for vmono, b, vcoeff in vterms
-    ]
-    top = max([pair[4] for pair in pairs], default=-1)
-    for weight in range(top, cutoff, -1):
-        parts = [
-            (_mode_mono(presentation, umono, ab - weight, vmono), table[weight - b] * coeff)
-            for umono, ab, vmono, b, high, table, coeff in pairs
-            if b <= weight <= high and table[weight - b]
-        ]
-        if len(parts) == 1 and parts[0][0]:
-            return None  # one term with a nonzero coefficient cannot cancel
-        acc: dict[Monomial, Fraction] = {}
-        for term, c in parts:
-            add_scaled(acc, term, c)
-        if acc:
-            return None
-    acc = {}
-    for umono, ab, vmono, b, high, table, coeff in pairs:
-        # Entry d of the table is the slice at weight b+d.
-        for d in range(min(high, cutoff) - b + 1):
-            c = table[d]
-            if c:
-                add_scaled(acc, _mode_mono(presentation, umono, ab - b - d, vmono), c * coeff)
-    return FockVector._adopt(presentation, acc)
+    a = u.max_weight()
+    if u and v and v.max_weight() + (a + 2 * level if a > 0 else 0) > cutoff:
+        return None
+    return star_product(u, v, level)
 
 
 def basic_circle_product(u: FockVector, v: FockVector) -> FockVector:

@@ -233,6 +233,18 @@ def test_config_file_key_for_a_missing_flag_is_usage_error(tmp_path):
     assert not out.exists()
 
 
+def test_config_flag_may_be_abbreviated(tmp_path):
+    # argparse reads --conf as --config, so the file's flags apply to it too.
+    config = tmp_path / "cfg.txt"
+    config.write_text("cutoff = 2\n")
+    short = run_cli("zhu", "--voa", "heisenberg", "--conf", str(config))
+    full = run_cli("zhu", "--voa", "heisenberg", "--config", str(config))
+    assert json.loads(short.stdout)["config"]["cutoff"] == 2
+    assert short.stdout == full.stdout
+    result = run_cli("zhu", "--voa", "heisenberg", "--c", str(config), expect=2)
+    assert "ambiguous option" in result.stderr
+
+
 def test_report_golden_roundtrip(tmp_path):
     golden = tmp_path / "omega.json"
     args = ["omega", "--voa", "heisenberg", "--level", "1", "--cutoff", "4"]
@@ -262,6 +274,35 @@ def test_negative_fractional_central_charge_is_a_value():
     doc = json.loads(result.stdout)
     assert doc["config"]["central_charge"] == "-1/2"
     assert doc["summary"]["fail"] == 0
+
+
+def test_abbreviated_central_charge_takes_a_negative_value():
+    for flag in ("--central", "--central-charge"):
+        result = run_cli("parse", "--voa", "virasoro", flag, "-22/5", "--expr", "L[2]L[-2]vac")
+        assert result.stdout.strip() == "-11/5 vac"
+    result = run_cli(
+        "parse", "--voa", "virasoro", "--c", "-22/5", "--expr", "L[2]L[-2]vac", expect=2
+    )
+    assert "ambiguous option" in result.stderr
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    from zhu_forge import cli
+
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    argv = ["parse", "--voa", "heisenberg", "--expr", "a[-1]vac"]
+    assert cli.main(argv) == 0
+    assert cli.main(argv) == 0
+    assert len(built) == 1
+    assert capsys.readouterr().out == "a[-1]vac\n" * 2
 
 
 VIRASORO_HALF = ["--voa", "virasoro", "--central-charge", "1/2"]

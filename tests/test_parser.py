@@ -112,8 +112,16 @@ def test_parse_uea_bare_rational():
 
 
 def test_parse_uea_errors():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="unterminated mode argument") as err:
         parse_uea("J[0](a[-1]vac", HEIS)
+    assert err.value.position == len("J[0](a[-1]vac")
+    # Errors inside an argument carry the column in the whole expression.
+    with pytest.raises(ParseError, match="zero denominator") as err:
+        parse_uea("J[1](vac) + J[0](1/0 vac)", HEIS)
+    assert err.value.position == len("J[1](vac) + J[0](")
+    with pytest.raises(ParseError, match="empty element") as err:
+        parse_uea("J[0]( )", HEIS)
+    assert err.value.position == len("J[0]( ")
     with pytest.raises(ParseError):
         parse_uea("J[x](a[-1]vac)", HEIS)
     with pytest.raises(ParseError) as err:

@@ -151,10 +151,17 @@ def test_star_product_matches_defining_sum(data, presentation, level):
     assert circle_product(u, v, level) == circle
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data(), st.sampled_from((HEIS, VIR)), st.integers(0, 2), st.integers(0, 8))
+# Virasoro at charges 1 - 6(p-q)^2/pq, (p, q) = (3, 4), (2, 3), (1, 2),
+# (2, 5), (4, 5), where the universal algebra has singular vectors.
+VIRASOROS = tuple(
+    builtin_presentation("virasoro", Fraction(c)) for c in ("1/2", "0", "-2", "-22/5", "7/10")
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from((HEIS,) + VIRASOROS), st.integers(0, 2), st.integers(0, 8))
 def test_star_in_window_matches_star_product(data, presentation, level, cutoff):
-    # Ideal rows are drawn too: their top slices can cancel between terms.
+    # Ideal rows are drawn too: they mix weights and coefficients.
     rows = build_zhu_context(presentation, level, 6).rows
     u = data.draw(st.one_of(sparse_vectors(presentation), st.sampled_from(rows)))
     v = data.draw(st.one_of(sparse_vectors(presentation), st.sampled_from(rows)))
@@ -164,6 +171,28 @@ def test_star_in_window_matches_star_product(data, presentation, level, cutoff):
         assert windowed is None
     else:
         assert windowed == product
+
+
+@pytest.mark.parametrize(
+    "presentation", (HEIS,) + VIRASOROS, ids=lambda p: f"{p.name}-c={p.central_charge}"
+)
+def test_star_top_weight_of_basis_pairs(presentation):
+    # The top component of m *_n m' sits at wt(m') + wt(m) + 2n unless m is
+    # the vacuum, for every pair of total weight at most 6: it never cancels,
+    # so the window is decided by this weight alone, at the weight itself
+    # and one below it.
+    monos = [(w, m) for w, ms in voa.enumerate_basis(presentation, 6) for m in ms]
+    for level in range(3):
+        for a, umono in monos:
+            for b, vmono in monos:
+                if a + b > 6:
+                    continue
+                u, v = mono(presentation, *umono), mono(presentation, *vmono)
+                top = b + (a + 2 * level if a > 0 else 0)
+                product = star_product(u, v, level)
+                assert product.max_weight() == top
+                assert star_in_window(u, v, level, top) == product
+                assert star_in_window(u, v, level, top - 1) is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -185,20 +214,18 @@ def test_star_slice_is_one_mode_times_a_table_coefficient(data, presentation, le
         assert c * FockVector(presentation, term) == want
 
 
-def test_star_in_window_computes_cancellation_above_the_cutoff():
-    # Heisenberg level 1, cutoff 4: an ideal row times a basis vector whose
-    # top slice sits above the cutoff per term but cancels in the sum.
+def test_star_in_window_keeps_a_vacuum_left_factor_in_the_window():
+    # vac *_n y = y, so the product fits whenever y does, although the
+    # level alone would put the top of u *_n y at wt(y) + 2n for u of
+    # positive weight.
     level, cutoff = 1, 4
     ctx = build_zhu_context(HEIS, level, cutoff)
-    cancelled = []
-    for row in ctx.rows:
-        for u in basis_vectors(HEIS, cutoff):
-            for x, y in ((u, row), (row, u)):
-                product = star_product(x, y, level)
-                if x.max_weight() + y.max_weight() + 2 * level > cutoff >= product.max_weight():
-                    cancelled.append((x, y))
-                    assert star_in_window(x, y, level, cutoff) == product
-    assert len(cancelled) == 5
+    candidates = list(ctx.rows) + basis_vectors(HEIS, cutoff)
+    spill = [y for y in candidates if y.max_weight() <= cutoff < y.max_weight() + 2 * level]
+    assert len(spill) == 13
+    for y in spill:
+        assert star_in_window(VAC, y, level, cutoff) == y
+        assert star_in_window(-3 * VAC, y, level, cutoff) == -3 * y
     row = mono(HEIS, (-2, "a")) + mono(HEIS, (-1, "a"))
     assert star_in_window(row, A, level, cutoff) is None
 
