@@ -57,7 +57,7 @@ from .zhu import (
     circle_product,
     inverse_system_check,
     omega_subspace,
-    star_in_window,
+    star_top_weight,
     star_product,
     translation_row,
 )
@@ -90,7 +90,7 @@ __all__ = [
     "build_zhu_context",
     "circle_product",
     "star_product",
-    "star_in_window",
+    "star_top_weight",
     "basic_circle_product",
     "basic_star_product",
     "translation_row",

@@ -163,12 +163,10 @@ def rref(rows: Iterable[Row], order: Callable) -> tuple[list[Row], dict]:
 
 
 def reduce_vector(vec: Row, rows: list[Row], pivots: dict) -> Row:
-    """Subtract the projection of ``vec`` onto the RREF row space."""
+    """Subtract the projection of ``vec`` onto the RREF rows: one row per pivot of ``vec``."""
     out = dict(vec)
-    for lead, idx in pivots.items():
-        coeff = out.get(lead)
-        if coeff:
-            add_scaled(out, rows[idx].items(), -coeff)
+    for key in [k for k in vec if k in pivots]:
+        add_scaled(out, rows[pivots[key]].items(), -out[key])
     return out
 
 

@@ -5,13 +5,17 @@ from :meth:`ReportDocument.for_suite`. The command line picks the suite for
 each subcommand itself (``cli.SUITES``), and the acceptance tests call these
 functions directly. Zhu contexts come from the memoized
 :func:`zhu.build_zhu_context`, so each truncated span is built once per
-process whichever suite asks for it first.
+process whichever suite asks for it first; the zhu suite reads its star
+products, reduced, from one :class:`StarTable` per run.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from itertools import chain
 
+from .linalg import add_scaled, exact
 from .modes import (
     evaluate_expression,
     expand_product_side,
@@ -23,12 +27,60 @@ from .modes import (
 from .report import CheckRecord, ReportDocument
 from .voa import FockVector, Presentation, basis_vectors, format_element
 from .zhu import (
+    ZhuContext,
     build_zhu_context,
     inverse_system_check,
-    star_in_window,
     star_product,
+    star_top_weight,
     translation_row,
 )
+
+
+class StarTable:
+    """Reductions of the star products inside the window of a Zhu context.
+    Star products and reductions are linear, so ``ctx.reduce(x * y)`` is a
+    sum of reduced basis-pair products. Each is formed only where
+    :func:`zhu.star_top_weight` puts it in the window, reduced on first use
+    and kept times :attr:`scale`, a product of the rows' and the products'
+    denominators that clears those of a reduction, so sums run over ints.
+    The rule is monotone and the weights ascend along the basis: the pairs
+    that fit are prefixes, and every pair a sum reads fits if ``x * y`` does."""
+
+    def __init__(self, ctx: ZhuContext) -> None:
+        self.ctx = ctx
+        self.basis = basis_vectors(ctx.presentation, ctx.cutoff)
+        self.weights = [v.max_weight() for v in self.basis]
+        self.index = {mono: i for i, v in enumerate(self.basis) for mono in v.terms}
+        # width[a]: the length of that prefix for a left factor of weight a.
+        self.width = [sum(self.fits(a, b) for b in self.weights) for a in range(ctx.cutoff + 1)]
+        # products[i][j] is basis[i] * basis[j].
+        self.products = [
+            [star_product(u, v, ctx.level) for v in self.basis[: self.width[a]]]
+            for u, a in zip(self.basis, self.weights)
+        ]
+        self._reduced = [[None] * len(row) for row in self.products]
+        rows, products = ({c.denominator for x in xs for c in x.terms.values()}
+                          for xs in (ctx.rows, chain.from_iterable(self.products)))
+        self.scale = math.lcm(*rows) * math.lcm(*products)
+
+    def fits(self, a: int, b: int) -> bool:
+        return star_top_weight(a, b, self.ctx.level) <= self.ctx.cutoff
+
+    def reduce(self, x: FockVector) -> dict:
+        """The terms of ``scale * ctx.reduce(x)``."""
+        return {mono: exact(c * self.scale) for mono, c in self.ctx.reduce(x).terms.items()}
+
+    def reduced_product(self, x: FockVector, y: FockVector) -> dict:
+        """The terms of ``scale * ctx.reduce(x * y)``."""
+        acc: dict = {}
+        right = [(self.index[mono], b) for mono, b in y.terms.items()]
+        for mono, a in x.terms.items():
+            reduced, products = self._reduced[self.index[mono]], self.products[self.index[mono]]
+            for j, b in right:
+                if reduced[j] is None:
+                    reduced[j] = self.reduce(products[j])
+                add_scaled(acc, reduced[j].items(), a * b)
+        return acc
 
 
 def zhu_structure_suite(presentation: Presentation, level: int, cutoff: int) -> ReportDocument:
@@ -37,98 +89,74 @@ def zhu_structure_suite(presentation: Presentation, level: int, cutoff: int) -> 
     Exact checks: the vacuum class is a two-sided star identity, the
     truncated span is a two-sided star ideal, star is associative modulo the
     span for all in-range basis triples, the conformal class is central at
-    level 0, and the translation rows vanish in the quotient. Products
-    whose output leaves the window are skipped, not truncated: every check
-    decides overflow from weights alone, the star products through
-    :func:`zhu.star_in_window`, so a skipped product is never formed.
+    level 0, and the translation rows vanish in the quotient. Products that
+    leave the window are skipped, not truncated, decided by weights alone;
+    every other one is read from a :class:`StarTable`.
     """
     ctx = build_zhu_context(presentation, level, cutoff)
-    vac = FockVector.vacuum(presentation)
-    basis = basis_vectors(presentation, cutoff)
+    table = StarTable(ctx)
+    basis, weights, product = table.basis, table.weights, table.reduced_product
     doc = ReportDocument.for_suite("zhu", presentation, level=level, cutoff=cutoff)
 
     def add(name: str, failures: list, extra: dict | None = None) -> None:
-        params = {"level": level, "cutoff": cutoff}
-        if extra:
-            params.update(extra)
+        params = {"level": level, "cutoff": cutoff, **(extra or {})}
         doc.add(CheckRecord.from_failures(name, params, failures))
 
     failures = []
     checked = 0
-    for v in basis:
-        left = star_in_window(vac, v, level, cutoff)
-        if left is not None and ctx.reduce(left) != ctx.reduce(v):
+    vac = FockVector.vacuum(presentation)
+    for v, b in zip(basis, weights):
+        reduced_v = table.reduce(v)
+        if product(vac, v) != reduced_v:
             failures.append({"side": "left", "v": format_element(v)})
-        right = star_in_window(v, vac, level, cutoff)
-        if right is not None:
+        if table.fits(b, 0):
             checked += 1
-            if ctx.reduce(right) != ctx.reduce(v):
+            if product(v, vac) != reduced_v:
                 failures.append({"side": "right", "v": format_element(v)})
     add("unit_class", failures, {"checked": checked})
 
     failures = []
     checked = 0
     for row in ctx.rows:
-        for u in basis:
-            for prod, side in ((star_in_window(u, row, level, cutoff), "left"),
-                               (star_in_window(row, u, level, cutoff), "right")):
-                if prod is not None:
+        r = row.max_weight()
+        for u, a in zip(basis, weights):
+            left, right = table.fits(a, r), table.fits(r, a)
+            if not (left or right):
+                break  # by monotonicity no later u fits either
+            for side, fits, x, y in (("left", left, u, row), ("right", right, row, u)):
+                if fits:
                     checked += 1
-                    if not ctx.reduce(prod).is_zero:
+                    if product(x, y):
                         failures.append({"side": side, "u": format_element(u)})
     add("two_sided_ideal", failures, {"checked": checked})
 
+    # By the rule applied twice (uv)w lies at least as high as u(vw): it decides.
     failures = []
     checked = 0
-    # products[i][j] is basis[i] * basis[j], or None when it leaves the window.
-    products = [[star_in_window(u, v, level, cutoff) for v in basis] for u in basis]
-    for u, u_products in zip(basis, products):
-        for v, uv, v_products in zip(basis, u_products, products):
-            if uv is None:
-                continue
-            for w, vw in zip(basis, v_products):
-                if vw is None:
-                    continue
-                left = star_in_window(uv, w, level, cutoff)
-                if left is None:
-                    continue
-                right = star_in_window(u, vw, level, cutoff)
-                if right is None:
-                    continue
+    for u, a, u_products in zip(basis, weights, table.products):
+        for v, b, uv, v_products in zip(basis, weights, u_products, table.products):
+            for w, vw in zip(basis, v_products[: table.width[star_top_weight(a, b, level)]]):
                 checked += 1
-                if ctx.reduce(left - right):
-                    failures.append(
-                        {
-                            "u": format_element(u),
-                            "v": format_element(v),
-                            "w": format_element(w),
-                        }
-                    )
+                if product(uv, w) != product(u, vw):
+                    failures.append(dict(zip("uvw", map(format_element, (u, v, w)))))
     add("associativity", failures, {"checked": checked})
 
     failures = []
-    for u in basis:
-        if u.max_weight() + 1 > cutoff:
-            continue
-        if ctx.reduce(translation_row(presentation, u)):
+    for u, a in zip(basis, weights):
+        if a + 1 <= cutoff and ctx.reduce(translation_row(presentation, u)):
             failures.append({"u": format_element(u)})
     add("translation_rows_vanish", failures)
 
     if level == 0:
         omega = presentation.conformal_vector()
         failures = []
-        for x in basis:
-            if x.max_weight() + 2 > cutoff:
-                continue
-            left = star_product(omega, x, 0)
-            right = star_product(x, omega, 0)
-            if ctx.reduce(left) != ctx.reduce(right):
+        for x, b in zip(basis, weights):
+            if b + 2 <= cutoff and product(omega, x) != product(x, omega):
                 failures.append({"x": format_element(x)})
         add("conformal_class_central", failures)
 
     if level >= 1:
-        inverse = inverse_system_check(presentation, level, cutoff)
-        doc.extend(inverse.checks)
+        doc.extend(inverse_system_check(presentation, level, cutoff).checks)
     return doc
 
 

@@ -13,9 +13,8 @@ stored: :func:`circle_product` and :func:`star_product` are one
 :func:`voa.mode_sum` each, the star coefficients read from the table
 :func:`_star_coefficients`. Products are windowed by weight alone:
 :func:`spanning_vectors` keeps a circle product whose top weight fits under
-the cutoff, and :func:`star_in_window` skips a star product whose top
-component, which never vanishes, lies above it. The level ideal is
-spanned by all circle products together with ``L(-1)u + L(0)u``; a
+the cutoff, and :func:`star_top_weight` gives a star product's top weight.
+The level ideal is spanned by all circle products and ``L(-1)u + L(0)u``; a
 :class:`ZhuContext` holds the row-reduced span of the spanning vectors whose
 components all fit under a weight cutoff. That is an inner approximation of
 the ideal's intersection with the weight window: whenever a reduction
@@ -102,23 +101,13 @@ def _star_coefficients(a: int, level: int) -> tuple[int, ...]:
     )
 
 
-def star_in_window(u: FockVector, v: FockVector, level: int, cutoff: int) -> FockVector | None:
-    """``star_product(u, v, level)`` if all its components have weight at
-    most ``cutoff``, else ``None``, decided from weights before any mode is
-    read. For nonzero ``u, v`` of top weights ``a, b`` the product is a
-    multiple of ``v`` if ``a = 0`` (``u`` is then one of the vacuum), and
-    otherwise its top is ``(-1)^level C(2 level, level) u_{-1-2 level} v``
-    of weight ``a+b+2 level``, which never vanishes: in Li's standard
-    filtration both presentations have a polynomial associated graded, on
-    which ``L(-1)`` is an injective derivation.
-    """
-    if level < 0:
-        raise ValueError("level must be nonnegative")
-    u._check_same(v)
-    a = u.max_weight()
-    if u and v and v.max_weight() + (a + 2 * level if a > 0 else 0) > cutoff:
-        return None
-    return star_product(u, v, level)
+def star_top_weight(a: int, b: int, level: int) -> int:
+    """Top weight of ``u *_level v`` for nonzero ``u, v`` of top weights
+    ``a, b``: ``b`` if ``u`` is a multiple of the vacuum, else that of
+    ``(-1)^level C(2 level, level) u_{-1-2 level} v``, which never vanishes
+    (in Li's standard filtration both presentations have a polynomial
+    associated graded, on which ``L(-1)`` is an injective derivation)."""
+    return b + (a + 2 * level if a > 0 else 0)
 
 
 def basic_circle_product(u: FockVector, v: FockVector) -> FockVector:

@@ -329,10 +329,16 @@ VIRASORO_HALF = ["--voa", "virasoro", "--central-charge", "1/2"]
          "report_omega_heisenberg_n2_w6.json"),
         (["appendix", "--N", "0..2", "--seed", "1"],
          "report_appendix_heisenberg_n0-2_seed1.json"),
+        # Large associativity loops: 1654 and 492 checked triples.
+        (["zhu", "--voa", "heisenberg", "--level", "0", "--cutoff", "8"],
+         "report_zhu_heisenberg_n0_w8.json"),
+        (["zhu", *VIRASORO_HALF, "--level", "0", "--cutoff", "10"],
+         "report_zhu_virasoro_half_n0_w10.json"),
     ],
     ids=[
         "axioms", "zhu", "zhu-heisenberg-n0", "zhu-heisenberg-n2", "iso", "omega",
-        "iso-heisenberg-n2", "omega-heisenberg-n2", "appendix",
+        "iso-heisenberg-n2", "omega-heisenberg-n2", "appendix", "zhu-heisenberg-n0-w8",
+        "zhu-n0-w10",
     ],
 )
 def test_suite_report_golden(argv, golden):

@@ -1,16 +1,24 @@
 import importlib
 import pkgutil
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import zhu_forge
-from zhu_forge import builtin_presentation, cli, modes, voa, zhu
+from zhu_forge import FockVector, builtin_presentation, cli, modes, voa, zhu
 from zhu_forge.report import CheckRecord
-from zhu_forge.suites import appendix_suite, deep_tail_witness_suite, zhu_structure_suite
+from zhu_forge.suites import (
+    StarTable,
+    appendix_suite,
+    deep_tail_witness_suite,
+    zhu_structure_suite,
+)
 
 HEIS = builtin_presentation("heisenberg")
 VIR = builtin_presentation("virasoro", Fraction(1, 2))
+LEE_YANG = builtin_presentation("virasoro", Fraction(-22, 5))
 
 
 def test_zhu_structure_suite_counts_in_range_checks():
@@ -19,6 +27,99 @@ def test_zhu_structure_suite_counts_in_range_checks():
     assert records["associativity"].params["checked"] > 0
     assert records["two_sided_ideal"].params["checked"] > 0
     assert doc.passed
+
+
+def patch_star_product(monkeypatch, replacement):
+    """Rebind ``zhu.star_product`` in every ``zhu_forge`` module that holds
+    it, since the suites import it by name."""
+    original = zhu.star_product
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "zhu_forge" or name.startswith("zhu_forge.")):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, replacement)
+    return original
+
+
+@pytest.mark.parametrize("presentation", (HEIS, VIR, LEE_YANG), ids=("heis", "c=1/2", "c=-22/5"))
+@pytest.mark.parametrize("level, cutoff", ((0, 6), (1, 6), (2, 6)))
+def test_star_table_sums_equal_direct_products(presentation, level, cutoff):
+    # Every checked triple and ideal pair, read from the table, equals the
+    # reduction of the products formed directly (both times the table's
+    # scale); the counts match the report.
+    ctx = zhu.build_zhu_context(presentation, level, cutoff)
+    table = StarTable(ctx)
+    star, top, fits = zhu.star_product, zhu.star_top_weight, table.fits
+    basis = list(zip(table.basis, table.weights))
+    triples = 0
+    for u, a in basis:
+        for v, b in basis:
+            for w, c in basis:
+                if not (fits(top(a, b, level), c) and fits(a, top(b, c, level))):
+                    continue
+                triples += 1
+                uv, vw = star(u, v, level), star(v, w, level)
+                left = FockVector._adopt(presentation, table.reduced_product(uv, w))
+                right = FockVector._adopt(presentation, table.reduced_product(u, vw))
+                direct = table.reduce(star(uv, w, level) - star(u, vw, level))
+                assert left - right == FockVector._adopt(presentation, direct)
+    pairs = 0
+    for row in ctx.rows:
+        r = row.max_weight()
+        for u, a in basis:
+            if fits(a, r):
+                pairs += 1
+                assert table.reduced_product(u, row) == table.reduce(star(u, row, level))
+            if fits(r, a):
+                pairs += 1
+                assert table.reduced_product(row, u) == table.reduce(star(row, u, level))
+    # The scale clears every denominator of the reduced pairs.
+    entries = [entry for row in table._reduced for entry in row if entry is not None]
+    assert entries and all(type(c) is int for entry in entries for c in entry.values())
+    doc = zhu_structure_suite(presentation, level, cutoff)
+    params = {record.name: record.params for record in doc.sorted_checks()}
+    assert params["associativity"]["checked"] == triples > 0
+    assert params["two_sided_ideal"]["checked"] == pairs > 0
+
+
+def test_zhu_suite_reports_a_perturbed_product(monkeypatch):
+    # a *_0 a gains the vacuum. Then (a a) w gains reduce(w), while a (a w)
+    # gains the vacuum only if a w holds a itself, as a vac and a a do; so
+    # w = a(-2)vac, which is not in the span, is the first failure.
+    a = FockVector.from_monomial(HEIS, ((-1, "a"),))
+    vac = FockVector.vacuum(HEIS)
+
+    def perturbed(u, v, level):
+        product = original(u, v, level)
+        return product + vac if (u, v) == (a, a) else product
+
+    original = patch_star_product(monkeypatch, perturbed)
+    records = {record.name: record for record in zhu_structure_suite(HEIS, 0, 4).sorted_checks()}
+    associativity = records["associativity"]
+    assert associativity.status == "fail"
+    assert associativity.witness == {"u": "a[-1]vac", "v": "a[-1]vac", "w": "a[-2]vac"}
+    assert records["unit_class"].status == "pass"
+
+
+@pytest.mark.parametrize("presentation", (HEIS, VIR), ids=("heis", "c=1/2"))
+@pytest.mark.parametrize("level", (0, 1, 2))
+def test_zhu_suite_forms_each_basis_product_once_inside_the_window(
+    monkeypatch, presentation, level
+):
+    cutoff = 6
+    basis = set(voa.basis_vectors(presentation, cutoff))
+    calls = Counter()
+
+    def counting(u, v, n):
+        product = original(u, v, n)
+        calls[u, v] += 1
+        assert product.max_weight() <= cutoff
+        return product
+
+    original = patch_star_product(monkeypatch, counting)
+    assert zhu_structure_suite(presentation, level, cutoff).passed
+    assert calls and set(calls.values()) == {1}
+    assert all(u in basis and v in basis for u, v in calls)
 
 
 def test_appendix_suite_small_grid():

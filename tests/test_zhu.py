@@ -22,8 +22,8 @@ from zhu_forge import (
     inverse_system_check,
     mode_action,
     omega_subspace,
-    star_in_window,
     star_product,
+    star_top_weight,
     translation_row,
     voa,
 )
@@ -160,17 +160,20 @@ VIRASOROS = tuple(
 
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.sampled_from((HEIS,) + VIRASOROS), st.integers(0, 2), st.integers(0, 8))
-def test_star_in_window_matches_star_product(data, presentation, level, cutoff):
-    # Ideal rows are drawn too: they mix weights and coefficients.
+def test_star_top_weight_matches_star_product(data, presentation, level, cutoff):
+    # Ideal rows are drawn too: they mix weights and coefficients. The rule
+    # on the operands' top weights decides the window as the product does.
     rows = build_zhu_context(presentation, level, 6).rows
     u = data.draw(st.one_of(sparse_vectors(presentation), st.sampled_from(rows)))
     v = data.draw(st.one_of(sparse_vectors(presentation), st.sampled_from(rows)))
     product = reference_star(u, v, level)
-    windowed = star_in_window(u, v, level, cutoff)
-    if product.max_weight() > cutoff:
-        assert windowed is None
-    else:
-        assert windowed == product
+    assert star_product(u, v, level) == product
+    if not (u and v):
+        assert not product
+        return
+    top = star_top_weight(u.max_weight(), v.max_weight(), level)
+    assert product.max_weight() == top
+    assert (top > cutoff) == (product.max_weight() > cutoff)
 
 
 @pytest.mark.parametrize(
@@ -179,8 +182,7 @@ def test_star_in_window_matches_star_product(data, presentation, level, cutoff):
 def test_star_top_weight_of_basis_pairs(presentation):
     # The top component of m *_n m' sits at wt(m') + wt(m) + 2n unless m is
     # the vacuum, for every pair of total weight at most 6: it never cancels,
-    # so the window is decided by this weight alone, at the weight itself
-    # and one below it.
+    # so the window is decided by this weight alone.
     monos = [(w, m) for w, ms in voa.enumerate_basis(presentation, 6) for m in ms]
     for level in range(3):
         for a, umono in monos:
@@ -189,10 +191,8 @@ def test_star_top_weight_of_basis_pairs(presentation):
                     continue
                 u, v = mono(presentation, *umono), mono(presentation, *vmono)
                 top = b + (a + 2 * level if a > 0 else 0)
-                product = star_product(u, v, level)
-                assert product.max_weight() == top
-                assert star_in_window(u, v, level, top) == product
-                assert star_in_window(u, v, level, top - 1) is None
+                assert star_top_weight(a, b, level) == top
+                assert star_product(u, v, level).max_weight() == top
 
 
 @settings(max_examples=40, deadline=None)
@@ -214,7 +214,7 @@ def test_star_slice_is_one_mode_times_a_table_coefficient(data, presentation, le
         assert c * FockVector(presentation, term) == want
 
 
-def test_star_in_window_keeps_a_vacuum_left_factor_in_the_window():
+def test_star_top_weight_keeps_a_vacuum_left_factor_in_the_window():
     # vac *_n y = y, so the product fits whenever y does, although the
     # level alone would put the top of u *_n y at wt(y) + 2n for u of
     # positive weight.
@@ -224,10 +224,12 @@ def test_star_in_window_keeps_a_vacuum_left_factor_in_the_window():
     spill = [y for y in candidates if y.max_weight() <= cutoff < y.max_weight() + 2 * level]
     assert len(spill) == 13
     for y in spill:
-        assert star_in_window(VAC, y, level, cutoff) == y
-        assert star_in_window(-3 * VAC, y, level, cutoff) == -3 * y
+        assert star_top_weight(0, y.max_weight(), level) <= cutoff
+        assert star_product(VAC, y, level) == y
+        assert star_product(-3 * VAC, y, level) == -3 * y
     row = mono(HEIS, (-2, "a")) + mono(HEIS, (-1, "a"))
-    assert star_in_window(row, A, level, cutoff) is None
+    assert star_top_weight(row.max_weight(), A.max_weight(), level) > cutoff
+    assert star_product(row, A, level).max_weight() > cutoff
 
 
 def test_builtin_presentations_are_shared():
