@@ -131,7 +131,9 @@ class Combination:
         return sorted(self.terms.items(), key=lambda kv: sort_key(kv[0]))
 
 
-def rref(rows: Iterable[Row], order: Callable) -> tuple[list[Row], dict]:
+def rref(
+    rows: Iterable[Row], order: Callable, *, rank_cap: int | None = None
+) -> tuple[list[Row], dict]:
     """Reduce rows to RREF; returns (rows, pivot key -> row index).
 
     Each returned row has leading coefficient 1 and its leading key appears
@@ -139,6 +141,10 @@ def rref(rows: Iterable[Row], order: Callable) -> tuple[list[Row], dict]:
     pivot key, so subtracting one stored row never brings back another
     pivot key: a new row is cleared of every pivot in one pass, and its
     leading key is found once.
+
+    ``rows`` is consumed one row at a time. With ``rank_cap`` set, no further
+    row is pulled once that many pivots are stored: the caller guarantees
+    that no row holds a key outside them (:func:`kernel_basis`).
     """
     pivot_rows: dict[Hashable, Row] = {}
 
@@ -156,6 +162,8 @@ def rref(rows: Iterable[Row], order: Callable) -> tuple[list[Row], dict]:
             if coeff:
                 add_scaled(other, row.items(), -coeff)
         pivot_rows[lead] = row
+        if len(pivot_rows) == rank_cap:
+            break
     ordered = sorted(pivot_rows.items(), key=lambda kv: order(kv[0]))
     out_rows = [row for _, row in ordered]
     pivots = {lead: idx for idx, (lead, _) in enumerate(ordered)}
@@ -176,8 +184,14 @@ def kernel_basis(constraints: Iterable[dict[int, Fraction]], ncols: int) -> list
     Constraint rows are dicts column -> coefficient. The returned basis is
     in the standard free-column form, one vector per non-pivot column,
     ordered by column index.
+
+    ``constraints`` is read lazily, one row at a time, and no further row is
+    pulled once every column is a pivot: the null space is then {0}, which no
+    later row can change, and the result is ``[]``. Otherwise every row is
+    consumed, and since RREF is canonical for the row space the basis does
+    not depend on the order of the rows.
     """
-    rows, pivots = rref(constraints, order=lambda c: c)
+    rows, pivots = rref(constraints, order=lambda c: c, rank_cap=ncols)
     # pivots: column -> row index, with leading = max column of each row.
     pivot_cols = set(pivots)
     basis: list[dict[int, Fraction]] = []

@@ -24,7 +24,10 @@ truncating silently. ``voa.clear_caches`` empties every memo.
 
 The subspace of :func:`omega_subspace`, the joint kernel of the modes of
 shift above the level, is graded as well and is solved one weight block at
-a time.
+a time. A block's constraint rows are generated as the row reduction reads
+them, low-weight states first, and none is built once the block has no
+kernel left, which above the level is every Heisenberg block and most
+Virasoro blocks.
 """
 
 from __future__ import annotations
@@ -289,6 +292,27 @@ def inverse_system_check(presentation: Presentation, level: int, cutoff: int) ->
     return doc
 
 
+def _kernel_rows(
+    presentation: Presentation,
+    basis: list[tuple[int, list[Monomial]]],
+    level: int,
+    weight: int,
+    block: list[Monomial],
+):
+    """The constraint rows of one weight block of :func:`omega_subspace`,
+    generated as they are read: for each basis state ``u`` (ascending by
+    weight) and shift ``level < k <= weight`` (ascending), one row per output
+    monomial of ``J_k(u)`` on the block, over the block's column indices."""
+    for wu, umonos in basis:
+        for umono in umonos:
+            for k in range(level + 1, weight + 1):
+                by_output: dict[Monomial, dict[int, Fraction]] = {}
+                for col, mono in enumerate(block):
+                    for omono, coeff in _mode_mono(presentation, umono, wu - 1 + k, mono):
+                        by_output.setdefault(omono, {})[col] = coeff
+                yield from by_output.values()
+
+
 def omega_subspace(
     presentation: Presentation, level: int, cutoff: int
 ) -> tuple[list[FockVector], ReportDocument]:
@@ -303,8 +327,14 @@ def omega_subspace(
 
     ``J_k`` lowers weight by exactly ``k``, so the kernel is solved one
     weight block at a time, with the shifts ``level < k <= weight``: a
-    higher shift sends the block below weight zero. The kernel vectors come
-    out homogeneous and in ``monomial_order`` of their free monomials.
+    higher shift sends the block below weight zero. Each block's rows are
+    generated lazily (:func:`_kernel_rows`), states ascending by weight and
+    then shifts ascending, so the low-weight states, which fill the rank
+    first, are read first; :func:`linalg.kernel_basis` stops pulling rows
+    once the block has no kernel left. The result does not change: a block
+    of full rank has an empty kernel however many rows follow, and any other
+    block reads every row. The kernel vectors come out homogeneous and in
+    ``monomial_order`` of their free monomials.
     """
     basis = enumerate_basis(presentation, cutoff)
     vectors: list[FockVector] = []
@@ -312,16 +342,7 @@ def omega_subspace(
     for weight, block in basis:
         if weight <= level:
             low_weight_dimension += len(block)
-        constraints: list[dict[int, Fraction]] = []
-        for wu, umonos in basis:
-            for umono in umonos:
-                for k in range(level + 1, weight + 1):
-                    # One constraint row per output monomial.
-                    by_output: dict[Monomial, dict[int, Fraction]] = {}
-                    for col, mono in enumerate(block):
-                        for omono, coeff in _mode_mono(presentation, umono, wu - 1 + k, mono):
-                            by_output.setdefault(omono, {})[col] = coeff
-                    constraints.extend(by_output.values())
+        constraints = _kernel_rows(presentation, basis, level, weight, block)
         for vec in kernel_basis(constraints, len(block)):
             vectors.append(FockVector(presentation, {block[col]: c for col, c in vec.items()}))
 

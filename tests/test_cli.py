@@ -327,6 +327,13 @@ VIRASORO_HALF = ["--voa", "virasoro", "--central-charge", "1/2"]
          "report_iso_heisenberg_n2_w4.json"),
         (["omega", "--voa", "heisenberg", "--level", "2", "--cutoff", "6"],
          "report_omega_heisenberg_n2_w6.json"),
+        # Kernel vectors at two weights above the level: [0, 2, 3] and [0, 4, 5].
+        (["omega", "--voa", "virasoro", "--central-charge", "0", "--level", "1",
+          "--cutoff", "5"],
+         "report_omega_virasoro_c0_n1_w5.json"),
+        (["omega", "--voa", "virasoro", "--central-charge=-22/5", "--level", "1",
+          "--cutoff", "8"],
+         "report_omega_virasoro_m22_5_n1_w8.json"),
         (["appendix", "--N", "0..2", "--seed", "1"],
          "report_appendix_heisenberg_n0-2_seed1.json"),
         # Large associativity loops: 1654 and 492 checked triples.
@@ -337,8 +344,8 @@ VIRASORO_HALF = ["--voa", "virasoro", "--central-charge", "1/2"]
     ],
     ids=[
         "axioms", "zhu", "zhu-heisenberg-n0", "zhu-heisenberg-n2", "iso", "omega",
-        "iso-heisenberg-n2", "omega-heisenberg-n2", "appendix", "zhu-heisenberg-n0-w8",
-        "zhu-n0-w10",
+        "iso-heisenberg-n2", "omega-heisenberg-n2", "omega-c0", "omega-c-22/5", "appendix",
+        "zhu-heisenberg-n0-w8", "zhu-n0-w10",
     ],
 )
 def test_suite_report_golden(argv, golden):

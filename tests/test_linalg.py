@@ -86,6 +86,17 @@ def test_kernel_of_full_rank_map_is_trivial():
     assert kernel == []
 
 
+def test_kernel_basis_stops_pulling_rows_at_full_rank():
+    def constraints():
+        yield {0: F(1), 1: F(2)}
+        yield {0: F(2), 1: F(4)}  # dependent: no new pivot
+        yield {1: F(1), 2: F(-1)}
+        yield {2: F(3)}  # every column is now a pivot
+        raise AssertionError("a row was pulled after the rank was full")
+
+    assert kernel_basis(constraints(), 3) == []
+
+
 # ---------------------------------------------------------------------------
 # Independent oracles: a naive dict-of-Fraction sum for the sparse core, and
 # sympy's exact rational RREF for the row reduction.
@@ -253,3 +264,34 @@ def test_kernel_basis_matches_sympy(data):
     assert all(v == 0 for v in constraints * ours.T)
     both = ours.col_join(sympy.Matrix.hstack(*expected).T)
     assert ours.rank() == both.rank() == len(kernel)
+
+
+def sympy_kernel_basis(matrix, ncols):
+    """``kernel_basis``'s free-column form from sympy. With the columns
+    reversed, sympy's leftmost pivot is the maximal column, so its null-space
+    basis, one vector per free column, is ours read back to front."""
+    flipped = to_sympy(matrix, ncols)[:, ::-1]
+    basis = [
+        {ncols - 1 - j: Fraction(int(v.p), int(v.q)) for j, v in enumerate(vec) if v}
+        for vec in flipped.nullspace()
+    ]
+    return basis[::-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices, st.data())
+def test_kernel_basis_ignores_redundant_rows(data, draw):
+    matrix, ncols = data
+    # Redundant rows: rational combinations of the drawn rows, duplicates
+    # included, appended or interleaved in any order.
+    combos = draw.draw(
+        st.lists(st.lists(scalars, min_size=len(matrix), max_size=len(matrix)), max_size=4)
+    )
+    redundant = [
+        [sum((c * row[j] for c, row in zip(coeffs, matrix)), Fraction(0)) for j in range(ncols)]
+        for coeffs in combos
+    ]
+    mixed = draw.draw(st.permutations(matrix + redundant))
+    expected = kernel_basis(to_rows(matrix), ncols)
+    assert kernel_basis(iter(to_rows(mixed)), ncols) == expected
+    assert expected == sympy_kernel_basis(matrix, ncols)

@@ -437,10 +437,7 @@ def global_omega_system(presentation, level, cutoff):
     return columns, sympy.Matrix(len(rows), len(columns), sum(rows, []))
 
 
-@pytest.mark.parametrize("cutoff", (2, 5))
-@pytest.mark.parametrize("level", (0, 1, 2))
-@pytest.mark.parametrize("presentation", (HEIS, VIR), ids=("heisenberg", "virasoro"))
-def test_omega_subspace_matches_global_kernel(presentation, level, cutoff):
+def assert_matches_global_kernel(presentation, level, cutoff):
     columns, system = global_omega_system(presentation, level, cutoff)
     nullity = len(columns) - system.rank()
     vectors, _ = omega_subspace(presentation, level, cutoff)
@@ -451,6 +448,36 @@ def test_omega_subspace_matches_global_kernel(presentation, level, cutoff):
     assert len(vectors) == nullity
     assert found.rank() == nullity
     assert (system * found).is_zero_matrix
+    return vectors
+
+
+@pytest.mark.parametrize("cutoff", (2, 5))
+@pytest.mark.parametrize("level", (0, 1, 2))
+@pytest.mark.parametrize("presentation", (HEIS, VIR), ids=("heisenberg", "virasoro"))
+def test_omega_subspace_matches_global_kernel(presentation, level, cutoff):
+    assert_matches_global_kernel(presentation, level, cutoff)
+
+
+@pytest.mark.parametrize(
+    "charge, weights",
+    ((Fraction(0), [0, 2, 3]), (Fraction(-22, 5), [0, 4, 5])),
+    ids=("c0", "c-22/5"),
+)
+def test_omega_subspace_matches_global_kernel_above_the_level(charge, weights):
+    # These blocks above the level keep a kernel, so they never reach full
+    # rank and every constraint row of theirs is read.
+    vectors = assert_matches_global_kernel(builtin_presentation("virasoro", charge), 1, 5)
+    assert [v.max_weight() for v in vectors] == weights
+
+
+def test_omega_subspace_stops_building_rows_at_full_rank():
+    # Every Heisenberg block above the level has an empty kernel, which the
+    # rows of the lowest-weight states already force; the rest are never
+    # built. Building every row would take 62944 mode-table misses.
+    voa.clear_caches()
+    vectors, _ = omega_subspace(HEIS, 1, 9)
+    assert [v.max_weight() for v in vectors] == [0, 1]
+    assert voa._mode_mono.cache_info().misses <= 6300
 
 
 def test_omega_subspace_preserved_by_zero_modes():
