@@ -8,7 +8,7 @@ membership witnesses, and the rewriting of degree-zero mode words down to a
 single zero-mode.
 """
 
-from .combinatorics import binomial, format_rational, parse_rational
+from .combinatorics import binomial, parse_rational
 from .modes import (
     FiltrationWitness,
     ReductionTrace,
@@ -31,6 +31,7 @@ from .modes import (
 )
 from .parser import ParseError, parse_element, parse_uea
 from .report import CheckRecord, DimensionTable, ReportDocument, golden_compare
+from .suites import inverse_system_check
 from .voa import (
     FockVector,
     Monomial,
@@ -55,7 +56,6 @@ from .zhu import (
     an_dims,
     c2_dims,
     circle_product,
-    inverse_system_check,
     omega_subspace,
     star_top_weight,
     star_product,
@@ -67,7 +67,6 @@ __version__ = "0.1.0"
 __all__ = [
     "binomial",
     "parse_rational",
-    "format_rational",
     "CheckRecord",
     "ReportDocument",
     "DimensionTable",

@@ -29,9 +29,9 @@ from .combinatorics import parse_rational
 from .modes import format_word, homomorphism_check, reduce_word
 from .parser import ParseError, parse_element, parse_uea
 from .report import ReportDocument, golden_compare
-from .suites import appendix_suite, check_appendix_ranges, zhu_structure_suite
+from .suites import appendix_suite, check_appendix_ranges, omega_suite, zhu_structure_suite
 from .voa import axiom_suite, builtin_presentation, format_element
-from .zhu import an_dims, build_zhu_context, c2_dims, omega_subspace
+from .zhu import an_dims, build_zhu_context, c2_dims
 
 VOA_CHOICES = ("heisenberg", "virasoro")
 
@@ -41,7 +41,7 @@ SUITES = {
     "axioms": lambda p, args: axiom_suite(p, args.cutoff, seed=args.seed),
     "zhu": lambda p, args: zhu_structure_suite(p, args.level, args.cutoff),
     "iso": lambda p, args: homomorphism_check(p, args.level, args.cutoff),
-    "omega": lambda p, args: omega_subspace(p, args.level, args.cutoff)[1],
+    "omega": lambda p, args: omega_suite(p, args.level, args.cutoff),
 }
 
 

@@ -51,8 +51,3 @@ def parse_rational(text: str) -> Fraction:
     if denominator == 0:
         raise ValueError(f"zero denominator in rational literal: {text!r}")
     return Fraction(numerator, denominator)
-
-
-def format_rational(value: Fraction | int) -> str:
-    """Render a rational as ``p/q`` (or ``p`` when the denominator is 1)."""
-    return str(Fraction(value))

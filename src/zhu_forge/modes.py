@@ -580,18 +580,21 @@ def homomorphism_check(
     * the reduction of the commutator word equals the star commutator
       modulo the truncated level ideal;
     * ``o(u) o(v)`` and the zero mode of the reduction (``voa.zero_mode``)
-      act identically on the kernel subspace of shifts above ``level``.
+      act identically on the kernel subspace :func:`zhu.omega_subspace`.
 
-    Products and reductions are tabulated once per ordered pair, so the
-    commutator of ``(u, v)`` reads the entries of ``(v, u)``.
+    Products, reductions and product verdicts are tabulated once per ordered
+    pair. Where ``(u, v)`` passes the product check, its commutator
+    difference is ``(v, u)``'s star product minus its reduction, which is
+    nonzero exactly when ``(v, u)`` fails it: only then is it formed.
     """
     states = basis_vectors(presentation, weight_bound)
-    omega_vectors, _ = omega_subspace(presentation, level, weight_bound)
+    omega_vectors = omega_subspace(presentation, level, weight_bound)
     stars = [[star_product(u, v, level) for v in states] for u in states]
     reduced = [
         [reduce_word(presentation, [(u, 0), (v, 0)], level + 1)[0] for v in states]
         for u in states
     ]
+    matches = [[got == expected for got, expected in zip(*rows)] for rows in zip(reduced, stars)]
     o_v_x = [[zero_mode(v, x) for x in omega_vectors] for v in states]
     failures_product = []
     failures_commutator = []
@@ -599,30 +602,20 @@ def homomorphism_check(
 
     for i, u in enumerate(states):
         for j, v in enumerate(states):
-            got, expected = reduced[i][j], stars[i][j]
-            if got != expected:
-                failures_product.append(
-                    {"u": format_element(u), "v": format_element(v)}
-                )
+            if not matches[i][j]:
+                failures_product.append({"u": format_element(u), "v": format_element(v)})
                 continue
 
-            difference = (got - reduced[j][i]) - (expected - stars[j][i])
-            if difference:
+            if not matches[j][i]:
+                difference = stars[j][i] - reduced[j][i]
                 cutoff = max(weight_bound, difference.max_weight())
                 if build_zhu_context(presentation, level, cutoff).reduce(difference):
-                    failures_commutator.append(
-                        {"u": format_element(u), "v": format_element(v)}
-                    )
+                    failures_commutator.append({"u": format_element(u), "v": format_element(v)})
 
+            got = reduced[i][j]
             for x, image in zip(omega_vectors, o_v_x[j]):
                 if zero_mode(u, image) != zero_mode(got, x):
-                    failures_semantic.append(
-                        {
-                            "u": format_element(u),
-                            "v": format_element(v),
-                            "x": format_element(x),
-                        }
-                    )
+                    failures_semantic.append(dict(zip("uvx", map(format_element, (u, v, x)))))
                     break
 
     params = {"level": level, "weight_bound": weight_bound}

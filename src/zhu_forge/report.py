@@ -84,9 +84,6 @@ class ReportDocument:
     def add(self, record: CheckRecord) -> None:
         self.checks.append(record)
 
-    def extend(self, records: list[CheckRecord]) -> None:
-        self.checks.extend(records)
-
     @property
     def passed(self) -> bool:
         return all(rec.status != "fail" for rec in self.checks)

@@ -27,7 +27,12 @@ shift above the level, is graded as well and is solved one weight block at
 a time. A block's constraint rows are generated as the row reduction reads
 them, low-weight states first, and none is built once the block has no
 kernel left, which above the level is every Heisenberg block and most
-Virasoro blocks.
+Virasoro blocks. It is returned as a plain list of vectors.
+
+This module computes values only. The checks on them, the ideal containment
+between levels and the zero modes on the kernel subspace among them, live in
+``suites`` and ``modes``; the only report type here is the
+:class:`DimensionTable` of :func:`an_dims` and :func:`c2_dims`.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from functools import cached_property
 
 from .combinatorics import binomial
 from .linalg import add_scaled, kernel_basis, reduce_vector, rref
-from .report import CheckRecord, DimensionTable, ReportDocument
+from .report import DimensionTable
 from .voa import (
     FockVector,
     Monomial,
@@ -46,14 +51,12 @@ from .voa import (
     _mode_mono,
     basis_vectors,
     enumerate_basis,
-    format_element,
     format_monomial,
     memo,
     mode_action,
     mode_sum,
     monomial_order,
     monomial_weight,
-    zero_mode,
 )
 
 
@@ -93,7 +96,10 @@ def _star_coefficients(a: int, level: int) -> tuple[int, ...]:
     """Entry ``d`` is the coefficient of ``u_{a-1-d} v`` in ``u *_level v``
     for ``u`` of weight ``a``; that term has weight ``wt(v)+d``. The term
     ``u_{i-m-level-1} v`` of the defining sum has ``i = a+level-d+m``, so
-    each ``m`` gives at most one ``i``."""
+    each ``m`` gives at most one ``i``. The vacuum acts only through
+    ``vac_{-1}``, so for ``a = 0`` the table is entry 0 alone, which is 1."""
+    if a == 0:
+        return (1,)
     top = a + level
     return tuple(
         sum(
@@ -269,29 +275,6 @@ def c2_dims(presentation: Presentation, cutoff: int) -> DimensionTable:
     return _free_monomials(presentation, cutoff, pivots)
 
 
-def inverse_system_check(presentation: Presentation, level: int, cutoff: int) -> ReportDocument:
-    """Truncated containment of the level ideal in the one below it.
-
-    Every spanning vector of the level-``level`` context must reduce to zero
-    in the level-``level-1`` context at the same cutoff.
-    """
-    if level < 1:
-        raise ValueError("needs level >= 1")
-    upper = build_zhu_context(presentation, level, cutoff)
-    lower = build_zhu_context(presentation, level - 1, cutoff)
-    failures = []
-    for row in upper.rows:
-        residue = lower.reduce(row)
-        if residue:
-            failures.append(
-                {"vector": format_element(row), "residue": format_element(residue)}
-            )
-    params = {"level": level, "cutoff": cutoff}
-    doc = ReportDocument.for_suite("inverse_system", presentation, **params)
-    doc.add(CheckRecord.from_failures("ideal_containment", params, failures))
-    return doc
-
-
 def _kernel_rows(
     presentation: Presentation,
     basis: list[tuple[int, list[Monomial]]],
@@ -313,17 +296,14 @@ def _kernel_rows(
                 yield from by_output.values()
 
 
-def omega_subspace(
-    presentation: Presentation, level: int, cutoff: int
-) -> tuple[list[FockVector], ReportDocument]:
+def omega_subspace(presentation: Presentation, level: int, cutoff: int) -> list[FockVector]:
     """Joint kernel of all mode operators of shift above ``level``.
 
-    Inside the window of weight at most ``cutoff``, computes the common
-    kernel of ``J_k(v) = v_{wt(v)-1+k}`` over basis states ``v`` and shifts
-    ``level < k <= cutoff``; checks that the zero modes ``voa.zero_mode`` of
-    the basis states preserve it, and whether it equals the sum of the
-    weight spaces up to ``level``. The quantification is truncated at the
-    cutoff, which the report records.
+    Inside the window of weight at most ``cutoff``, returns a basis of the
+    common kernel of ``J_k(v) = v_{wt(v)-1+k}`` over basis states ``v`` and
+    shifts ``level < k <= cutoff``. The quantification is truncated at the
+    cutoff. The checks on this subspace (``suites.omega_suite``, and the
+    action on it in ``modes.homomorphism_check``) read this value.
 
     ``J_k`` lowers weight by exactly ``k``, so the kernel is solved one
     weight block at a time, with the shifts ``level < k <= weight``: a
@@ -338,62 +318,8 @@ def omega_subspace(
     """
     basis = enumerate_basis(presentation, cutoff)
     vectors: list[FockVector] = []
-    low_weight_dimension = 0
     for weight, block in basis:
-        if weight <= level:
-            low_weight_dimension += len(block)
         constraints = _kernel_rows(presentation, basis, level, weight, block)
         for vec in kernel_basis(constraints, len(block)):
             vectors.append(FockVector(presentation, {block[col]: c for col, c in vec.items()}))
-
-    # The kernel must be preserved by every zero-shift mode o(v) = v_{wt(v)-1};
-    # the first vector that leaves it is the witness.
-    kernel_rows, kernel_pivots = rref((v.terms for v in vectors), order=monomial_order)
-    failures = []
-    for v in basis_vectors(presentation, cutoff):
-        for x in vectors:
-            if reduce_vector(zero_mode(v, x).terms, kernel_rows, kernel_pivots):
-                failures.append({"v": format_element(v), "x": format_element(x)})
-                break
-        if failures:
-            break
-
-    # No shift constrains the blocks of weight at most the level, so the
-    # kernel contains their sum and equals it exactly when no more is found.
-    equals_low_weights = len(vectors) == low_weight_dimension
-
-    doc = ReportDocument.for_suite(
-        "omega",
-        presentation,
-        level=level,
-        cutoff=cutoff,
-        quantification=f"basis states and shifts truncated at weight {cutoff}",
-    )
-    doc.add(
-        CheckRecord(
-            name="kernel_dimension",
-            params={"level": level, "cutoff": cutoff},
-            status="pass",
-            witness={"dimension": len(vectors)},
-        )
-    )
-    doc.add(
-        CheckRecord.from_failures(
-            "zero_modes_preserve_subspace", {"level": level, "cutoff": cutoff}, failures
-        )
-    )
-    # Informational: equality with the low-weight sum is expected for simple
-    # modules only, so a mismatch is reported, not failed.
-    doc.add(
-        CheckRecord(
-            name="low_weight_comparison",
-            params={"level": level, "cutoff": cutoff},
-            status="pass",
-            witness={
-                "equals_low_weight_sum": equals_low_weights,
-                "dimension": len(vectors),
-                "low_weight_dimension": low_weight_dimension,
-            },
-        )
-    )
-    return vectors, doc
+    return vectors

@@ -186,7 +186,7 @@ def criterion_8_word_reduction() -> ReportDocument:
     for presentation in BOTH:
         rng = random.Random(SEED)
         pool = basis_vectors(presentation, 3)
-        kernels = {n: omega_subspace(presentation, n, 6)[0] for n in (0, 1, 2)}
+        kernels = {n: omega_subspace(presentation, n, 6) for n in (0, 1, 2)}
         accepted = rejected = 0
         failures_semantic = []
         failures_confluence = []

@@ -8,12 +8,12 @@ import pytest
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def run_cli(*args, expect=0):
+def run_cli(*args, expect=0, timeout=600):
     result = subprocess.run(
         [sys.executable, "-m", "zhu_forge.cli", *args],
         capture_output=True,
         text=True,
-        timeout=600,
+        timeout=timeout,
     )
     assert result.returncode == expect, (result.returncode, result.stderr[-2000:])
     return result
@@ -172,6 +172,13 @@ def test_zhu_suite_exit_code_and_determinism(tmp_path):
         "zhu/associativity",
         "zhu/ideal_containment",
     }
+
+
+def test_zhu_at_a_large_level_finishes():
+    # Only vacuum-left star products fit the window here, and their
+    # coefficient table is a single entry at every level.
+    result = run_cli("zhu", "--voa", "heisenberg", "--level", "1000", "--cutoff", "3", timeout=5)
+    assert json.loads(result.stdout)["summary"]["fail"] == 0
 
 
 def test_axioms_subcommand_small(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zhu_forge.combinatorics import binomial, format_rational, parse_rational
+from zhu_forge.combinatorics import binomial, parse_rational
 
 
 def test_basic_values():
@@ -85,8 +85,3 @@ def test_parse_rational():
         parse_rational("1/0")
     with pytest.raises(ValueError):
         parse_rational("x")
-
-
-def test_format_rational_roundtrip():
-    for value in (Fraction(3, 4), Fraction(-7), Fraction(0), Fraction(22, 7)):
-        assert parse_rational(format_rational(value)) == value

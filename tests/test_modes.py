@@ -527,7 +527,7 @@ def test_reduction_semantics_on_kernel_subspace():
         mod_level = rng.choice([1, 2])
         level = mod_level - 1
         if level not in kernel_cache:
-            kernel_cache[level] = omega_subspace(HEIS, level, 6)[0]
+            kernel_cache[level] = omega_subspace(HEIS, level, 6)
         result, _ = reduce_word(HEIS, factors, mod_level)
         original = word_expression(HEIS, factors)
         reduced = mode_symbol(result, 0)
@@ -574,6 +574,35 @@ def test_homomorphism_check_sizes_each_commutator_context(monkeypatch):
     assert product.status == "fail"
     assert product.witness == {"u": format_element(states[1]), "v": format_element(states[0])}
     assert records["commutator_modulo_ideal"].status == "pass"
+    assert records["action_on_kernel_subspace"].status == "pass"
+
+
+def test_homomorphism_check_reports_a_commutator_outside_the_ideal(monkeypatch):
+    # The reductions of the reversed pairs (2, 1) and (3, 1) gain the vacuum,
+    # which is never in the span. Their product checks fail, and the
+    # commutators of (1, 2) and (1, 3), whose own product checks pass, differ
+    # from the star commutators by the vacuum; (1, 2) comes first.
+    reduce_word_exact = modes_module.reduce_word
+    states = basis_vectors(HEIS, 2)
+    vac = FockVector.vacuum(HEIS)
+
+    def perturbed(presentation, factors, *args):
+        result, trace = reduce_word_exact(presentation, factors, *args)
+        key = tuple(states.index(x) for x, _ in factors)
+        return (result + vac if key in {(2, 1), (3, 1)} else result), trace
+
+    monkeypatch.setattr(modes_module, "reduce_word", perturbed)
+    doc = homomorphism_check(HEIS, 0, 2)
+    records = {r.name: r for r in doc.sorted_checks()}
+    product = records["reduction_matches_star_product"]
+    assert product.status == "fail"
+    assert product.witness == {"u": format_element(states[2]), "v": format_element(states[1])}
+    commutator = records["commutator_modulo_ideal"]
+    assert commutator.status == "fail"
+    assert commutator.witness == {
+        "u": format_element(states[1]),
+        "v": format_element(states[2]),
+    }
     assert records["action_on_kernel_subspace"].status == "pass"
 
 

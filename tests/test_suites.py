@@ -1,4 +1,5 @@
 import importlib
+import json
 import pkgutil
 import sys
 from collections import Counter
@@ -8,11 +9,13 @@ import pytest
 
 import zhu_forge
 from zhu_forge import FockVector, builtin_presentation, cli, modes, voa, zhu
-from zhu_forge.report import CheckRecord
+from zhu_forge.linalg import Combination
+from zhu_forge.report import CheckRecord, ReportDocument
 from zhu_forge.suites import (
     StarTable,
     appendix_suite,
     deep_tail_witness_suite,
+    omega_suite,
     zhu_structure_suite,
 )
 
@@ -29,10 +32,9 @@ def test_zhu_structure_suite_counts_in_range_checks():
     assert doc.passed
 
 
-def patch_star_product(monkeypatch, replacement):
-    """Rebind ``zhu.star_product`` in every ``zhu_forge`` module that holds
-    it, since the suites import it by name."""
-    original = zhu.star_product
+def rebind(monkeypatch, original, replacement):
+    """Rebind ``original`` in every ``zhu_forge`` module that holds it,
+    since the modules import each other's functions by name."""
     for name, module in list(sys.modules.items()):
         if module is not None and (name == "zhu_forge" or name.startswith("zhu_forge.")):
             for key, value in list(vars(module).items()):
@@ -93,7 +95,7 @@ def test_zhu_suite_reports_a_perturbed_product(monkeypatch):
         product = original(u, v, level)
         return product + vac if (u, v) == (a, a) else product
 
-    original = patch_star_product(monkeypatch, perturbed)
+    original = rebind(monkeypatch, zhu.star_product, perturbed)
     records = {record.name: record for record in zhu_structure_suite(HEIS, 0, 4).sorted_checks()}
     associativity = records["associativity"]
     assert associativity.status == "fail"
@@ -116,10 +118,86 @@ def test_zhu_suite_forms_each_basis_product_once_inside_the_window(
         assert product.max_weight() <= cutoff
         return product
 
-    original = patch_star_product(monkeypatch, counting)
+    original = rebind(monkeypatch, zhu.star_product, counting)
     assert zhu_structure_suite(presentation, level, cutoff).passed
     assert calls and set(calls.values()) == {1}
     assert all(u in basis and v in basis for u, v in calls)
+
+
+def test_omega_reports_the_first_zero_mode_image_outside_the_subspace(monkeypatch, tmp_path):
+    # Omega_1 of the Heisenberg module is spanned by vac and a. Two zero-mode
+    # images are pushed out of it by a weight-2 vector; the witness is the
+    # first in the order of the basis states v, then the kernel vectors x.
+    a = FockVector.from_monomial(HEIS, ((-1, "a"),))
+    vac = FockVector.vacuum(HEIS)
+    basis = voa.basis_vectors(HEIS, 4)
+    outside = FockVector.from_monomial(HEIS, ((-1, "a"), (-1, "a")))
+    leaving = {(basis[3], vac), (basis[2], a)}
+
+    def perturbed(v, x):
+        image = original(v, x)
+        return image + outside if (v, x) in leaving else image
+
+    original = rebind(monkeypatch, voa.zero_mode, perturbed)
+    out = tmp_path / "omega.json"
+    argv = ["omega", "--voa", "heisenberg", "--level", "1", "--cutoff", "4", "--out", str(out)]
+    assert cli.main(argv) == 1
+    records = {r["name"]: r for r in json.loads(out.read_text())["checks"]}
+    preserve = records["omega/zero_modes_preserve_subspace"]
+    assert preserve["status"] == "fail"
+    assert preserve["witness"] == {"v": voa.format_element(basis[2]), "x": "a[-1]vac"}
+    assert records["omega/kernel_dimension"] == {
+        "name": "omega/kernel_dimension",
+        "params": {"cutoff": 4, "level": 1},
+        "status": "pass",
+        "witness": {"dimension": 2},
+    }
+
+
+def test_each_suite_builds_exactly_one_report(monkeypatch):
+    # A suite reads values, never another suite's report.
+    built = []
+    init = ReportDocument.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ReportDocument, "__init__", counting)
+    suites = {
+        "zhu": lambda: zhu_structure_suite(HEIS, 1, 4),
+        "omega": lambda: omega_suite(HEIS, 1, 4),
+        "iso": lambda: modes.homomorphism_check(HEIS, 1, 4),
+        "deep_tail": lambda: deep_tail_witness_suite(HEIS, levels=(0, 1), weight_bound=3),
+        "appendix": lambda: appendix_suite(HEIS, depth_range=(0, 2), operator_samples=5),
+        "axioms": lambda: voa.axiom_suite(HEIS, 3),
+    }
+    for name, run in suites.items():
+        built.clear()
+        doc = run()
+        assert len(built) == 1 and built[0] is doc, name
+
+
+def test_iso_on_a_passing_run_forms_no_commutator_difference(monkeypatch):
+    # The kernel subspace is read as a value, so the only zero modes are the
+    # action check's: 12 states and 2 kernel vectors give 24 images and two
+    # zero modes per pair and vector, 24 + 144 * 2 * 2 = 600. Every product
+    # check passes, so no difference is formed.
+    calls = Counter()
+
+    def counting_zero_mode(u, x):
+        calls["zero_mode"] += 1
+        return zero_mode(u, x)
+
+    def counting_combine(self, other, coeff):
+        calls["combine"] += 1
+        return combine(self, other, coeff)
+
+    zero_mode = rebind(monkeypatch, voa.zero_mode, counting_zero_mode)
+    combine = Combination._combine
+    monkeypatch.setattr(Combination, "_combine", counting_combine)
+    assert modes.homomorphism_check(HEIS, 1, 4).passed
+    assert (calls["zero_mode"], calls["combine"]) == (600, 0)
 
 
 def test_appendix_suite_small_grid():
@@ -135,6 +213,21 @@ def test_appendix_suite_small_grid():
 def test_deep_tail_witness_suite_passes():
     doc = deep_tail_witness_suite(VIR, levels=(0, 1), weight_bound=3)
     assert doc.passed
+
+
+def test_deep_tail_witness_suite_reports_an_unwitnessed_expansion(monkeypatch):
+    # A plain zero mode has no suffix of degree -1 or below, so the pair
+    # whose expansion is replaced by one is the witness.
+    a = FockVector.from_monomial(HEIS, ((-1, "a"),))
+    vac = FockVector.vacuum(HEIS)
+
+    def replaced(u, v, *args, **kwargs):
+        return modes.mode_symbol(a, 0) if (u, v) == (a, vac) else original(u, v, *args, **kwargs)
+
+    original = rebind(monkeypatch, modes.expand_product_side, replaced)
+    records = deep_tail_witness_suite(HEIS, levels=(0, 1), weight_bound=2).sorted_checks()
+    assert [(r.params["level"], r.status) for r in records] == [(0, "fail"), (1, "fail")]
+    assert records[0].witness == {"u": "a[-1]vac", "v": "1 vac"}
 
 
 def test_build_zhu_context_is_memoized():

@@ -27,6 +27,7 @@ from zhu_forge import (
     translation_row,
     voa,
 )
+from zhu_forge.suites import omega_suite
 from zhu_forge.voa import _mode_mono
 from zhu_forge.zhu import _star_coefficients, an_dims, spanning_vectors
 
@@ -77,9 +78,13 @@ def test_level_zero_products_match_basic_forms():
 
 
 def test_vacuum_is_left_star_identity_exactly():
-    for level in range(4):
-        for v in basis_vectors(HEIS, 5):
-            assert star_product(VAC, v, level) == v
+    for presentation in (HEIS, VIR):
+        vac = FockVector.vacuum(presentation)
+        for level in range(7):
+            for v in basis_vectors(presentation, 5):
+                assert star_product(vac, v, level) == v
+    # The vacuum acts through vac_{-1} alone, whatever the level.
+    assert _star_coefficients(0, 50) == (1,)
 
 
 def test_virasoro_star_of_conformal_vector():
@@ -389,7 +394,7 @@ def test_c2_dims_virasoro():
 
 def test_omega_subspace_heisenberg_is_low_weight_sum():
     for level, expected_dim in ((0, 1), (1, 2), (2, 4)):
-        vectors, doc = omega_subspace(HEIS, level, 6)
+        vectors, doc = omega_subspace(HEIS, level, 6), omega_suite(HEIS, level, 6)
         assert len(vectors) == expected_dim
         info = {r.name: r.witness for r in doc.sorted_checks()}
         assert info["low_weight_comparison"]["equals_low_weight_sum"] is True
@@ -397,8 +402,8 @@ def test_omega_subspace_heisenberg_is_low_weight_sum():
 
 
 def test_omega_subspace_heisenberg_cross_check_at_higher_cutoff():
-    vectors6, _ = omega_subspace(HEIS, 0, 6)
-    vectors7, _ = omega_subspace(HEIS, 0, 7)
+    vectors6 = omega_subspace(HEIS, 0, 6)
+    vectors7 = omega_subspace(HEIS, 0, 7)
     assert len(vectors6) == len(vectors7) == 1
     assert vectors6[0] == vectors7[0] == VAC
 
@@ -406,7 +411,7 @@ def test_omega_subspace_heisenberg_cross_check_at_higher_cutoff():
 def test_omega_subspace_virasoro_sees_singular_vector():
     # The universal c=1/2 vacuum module is not simple: its weight-6 singular
     # vector joins the vacuum in the kernel subspace at this window.
-    vectors, doc = omega_subspace(VIR, 0, 6)
+    vectors, doc = omega_subspace(VIR, 0, 6), omega_suite(VIR, 0, 6)
     info = {r.name: r.witness for r in doc.sorted_checks()}
     assert info["low_weight_comparison"]["equals_low_weight_sum"] is False
     assert len(vectors) == 2
@@ -440,7 +445,7 @@ def global_omega_system(presentation, level, cutoff):
 def assert_matches_global_kernel(presentation, level, cutoff):
     columns, system = global_omega_system(presentation, level, cutoff)
     nullity = len(columns) - system.rank()
-    vectors, _ = omega_subspace(presentation, level, cutoff)
+    vectors = omega_subspace(presentation, level, cutoff)
     found = sympy.Matrix(
         [[sympy.Rational(str(v.terms.get(m, 0))) for m in columns] for v in vectors]
     ).T
@@ -475,14 +480,14 @@ def test_omega_subspace_stops_building_rows_at_full_rank():
     # rows of the lowest-weight states already force; the rest are never
     # built. Building every row would take 62944 mode-table misses.
     voa.clear_caches()
-    vectors, _ = omega_subspace(HEIS, 1, 9)
+    vectors = omega_subspace(HEIS, 1, 9)
     assert [v.max_weight() for v in vectors] == [0, 1]
     assert voa._mode_mono.cache_info().misses <= 6300
 
 
 def test_omega_subspace_preserved_by_zero_modes():
     for presentation, level in ((HEIS, 1), (VIR, 0)):
-        _, doc = omega_subspace(presentation, level, 6)
+        doc = omega_suite(presentation, level, 6)
         records = {r.name: r.status for r in doc.sorted_checks()}
         assert records["zero_modes_preserve_subspace"] == "pass"
 
