@@ -17,7 +17,7 @@ from .modes import (
     evaluate_expression,
     expand_iterate_side,
     expand_product_side,
-    filtration_report,
+    find_witness,
     format_word,
     homomorphism_check,
     mode_symbol,
@@ -31,13 +31,12 @@ from .modes import (
 )
 from .parser import ParseError, parse_element, parse_uea
 from .report import CheckRecord, DimensionTable, ReportDocument, golden_compare
-from .suites import inverse_system_check
+from .suites import axiom_suite, inverse_system_check
 from .voa import (
     FockVector,
     Monomial,
     Presentation,
     apply_generator_mode,
-    axiom_suite,
     basis_vectors,
     builtin_presentation,
     enumerate_basis,
@@ -111,7 +110,7 @@ __all__ = [
     "evaluate_expression",
     "reordering_residual",
     "pair_expansion",
-    "filtration_report",
+    "find_witness",
     "reduce_word",
     "replay_trace",
     "homomorphism_check",

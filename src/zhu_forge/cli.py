@@ -29,8 +29,14 @@ from .combinatorics import parse_rational
 from .modes import format_word, homomorphism_check, reduce_word
 from .parser import ParseError, parse_element, parse_uea
 from .report import ReportDocument, golden_compare
-from .suites import appendix_suite, check_appendix_ranges, omega_suite, zhu_structure_suite
-from .voa import axiom_suite, builtin_presentation, format_element
+from .suites import (
+    appendix_suite,
+    axiom_suite,
+    check_appendix_ranges,
+    omega_suite,
+    zhu_structure_suite,
+)
+from .voa import builtin_presentation, format_element
 from .zhu import an_dims, build_zhu_context, c2_dims
 
 VOA_CHOICES = ("heisenberg", "virasoro")

@@ -10,7 +10,7 @@ shift is 0.
 The degree-zero part of the enveloping algebra carries the filtration whose
 k-th piece is spanned by products with a right factor of degree at most
 ``k <= 0``. A word certifies its membership through a suffix whose shift-sum
-is at least ``-k`` (:func:`filtration_report`); such a suffix also
+is at least ``-k`` (:func:`find_witness`); such a suffix also
 annihilates every vector killed by all shifts above ``-k-1``, which is what
 makes discarding deep tails sound in :func:`reduce_word`.
 
@@ -362,9 +362,6 @@ class FiltrationWitness:
     position: int
     suffix_degree: int
 
-    def to_jsonable(self) -> dict:
-        return {**asdict(self), "word": format_word(self.word)}
-
 
 def find_witness(word: Word, level: int) -> FiltrationWitness | None:
     """Best suffix witness with degree at most ``level`` (``level <= 0``)."""
@@ -376,31 +373,6 @@ def find_witness(word: Word, level: int) -> FiltrationWitness | None:
             if best is None or witness.suffix_degree < best.suffix_degree:
                 best = witness
     return best
-
-
-def filtration_report(expression: UEAExpression, level: int) -> ReportDocument:
-    """Witness search for every word: success certifies membership of the
-    expression in the degree-``level`` filtration piece (sufficient only)."""
-    if level > 0:
-        raise ValueError("filtration levels are nonpositive")
-    for word in expression.terms:
-        if word_degree(word) != 0:
-            raise ValueError(f"expression is not degree zero: {format_word(word)}")
-    failures = []
-    witnesses = []
-    for word, _ in expression.sorted_terms():
-        witness = find_witness(word, level)
-        if witness is None:
-            failures.append({"word": format_word(word)})
-        else:
-            witnesses.append(witness.to_jsonable())
-    record = CheckRecord.from_failures(
-        "suffix_witnesses", {"level": level, "words": len(expression.terms)}, failures
-    )
-    record.witness = {"failures": failures} if failures else {"witnesses": witnesses}
-    doc = ReportDocument(config={"suite": "filtration_witness", "level": level})
-    doc.add(record)
-    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -443,12 +415,8 @@ class ReductionTrace:
         }
 
 
-def _pick_position(word: Word, variant: str) -> int:
-    if variant == "rightmost":
-        return len(word) - 2
-    if variant == "leftmost":
-        return 0
-    raise ValueError(f"unknown variant {variant!r}")
+# The index of the left letter of the pair each variant rewrites.
+_PAIR_POSITION = {"rightmost": lambda word: len(word) - 2, "leftmost": lambda word: 0}
 
 
 def reduce_word(
@@ -473,6 +441,8 @@ def reduce_word(
     """
     if mod_level < 1:
         raise ValueError("mod_level must be at least 1")
+    if variant not in _PAIR_POSITION:
+        raise ValueError(f"unknown variant {variant!r}")
     if isinstance(factors, UEAExpression):
         expression = factors
         if expression.presentation != presentation:
@@ -508,7 +478,7 @@ def reduce_word(
         )
         for word in sorted(pending):
             coeff = current.terms[word]
-            position = _pick_position(word, variant)
+            position = _PAIR_POSITION[variant](word)
             (mono_a, p), (mono_b, q) = word[position], word[position + 1]
             s, t = -p, q
             # A discarded tail's witness suffix continues through the factors

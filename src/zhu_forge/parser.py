@@ -132,7 +132,7 @@ def _parse_term(cursor: _Cursor, presentation: Presentation) -> FockVector:
             cursor.advance()
             break
         if kind == "name":
-            if value not in presentation.labels:
+            if value not in presentation.generators:
                 raise ParseError(
                     f"unknown generator {value!r} for presentation {presentation.name}", pos
                 )

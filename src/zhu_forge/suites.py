@@ -1,4 +1,10 @@
-"""Suites that check several modules at once.
+"""The checks of the package. The kernel modules compute values (``voa``
+the mode action, ``zhu`` the Zhu products, spans and Ω_n, ``modes`` the mode
+words and their rewriting), and the suites here certify them:
+:func:`axiom_suite` the VOA axioms of a presentation's mode action, the
+others the Zhu quotients, the reordering identity and the filtration
+witnesses. The ``iso`` suite, ``modes.homomorphism_check``, is the one
+suite outside this module.
 
 Each suite function returns one :class:`ReportDocument` whose header comes
 from :meth:`ReportDocument.for_suite`. The command line picks the suite for
@@ -16,8 +22,10 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 from itertools import chain
 
+from .combinatorics import binomial
 from .linalg import add_scaled, exact, reduce_vector, rref
 from .modes import (
     evaluate_expression,
@@ -28,7 +36,18 @@ from .modes import (
     word_expression,
 )
 from .report import CheckRecord, ReportDocument
-from .voa import FockVector, Presentation, basis_vectors, format_element, monomial_order, zero_mode
+from .voa import (
+    FockVector,
+    Monomial,
+    Presentation,
+    _eval_poly,
+    basis_vectors,
+    format_element,
+    mode_action,
+    monomial_order,
+    truncation_bound,
+    zero_mode,
+)
 from .zhu import (
     ZhuContext,
     build_zhu_context,
@@ -291,7 +310,7 @@ def appendix_suite(
         samples=operator_samples,
         seed=seed,
     )
-    gen_label, gen_weight = presentation.generators[0]
+    gen_label, gen_weight = next(iter(presentation.generators.items()))
     u = FockVector.from_monomial(presentation, ((-gen_weight, gen_label),))
 
     failures = []
@@ -372,3 +391,207 @@ def deep_tail_witness_suite(
         doc.add(CheckRecord.from_failures("circle_expansion_witnessed", params, failures))
     return doc
 
+
+# Sampling bounds of :func:`axiom_suite`: state weight and mode index.
+PAIR_WEIGHT = 4
+INDEX_BOUND = 3
+
+
+def presentation_checks(presentation: Presentation) -> list[tuple[str, bool, object]]:
+    """Structural invariants of the presentation data itself.
+
+    Returns (name, passed, witness) triples: bracket antisymmetry on sampled
+    index pairs, the conformal vector having weight 2, and the central
+    charge recovered from ``omega_3 omega = (c/2) vac``.
+    """
+    results: list[tuple[str, bool, object]] = []
+
+    ok = True
+    witness: object = None
+    def bracket_value(first: str, second: str, mi: int, ni: int) -> dict[object, Fraction]:
+        out: dict[object, Fraction] = {}
+        for term in presentation.brackets[first, second]:
+            if term.target is None and mi + ni != term.kronecker:
+                continue
+            coeff = _eval_poly(term.poly, mi, ni)
+            if coeff:
+                key = (term.target, term.uses_charge)
+                out[key] = out.get(key, 0) + coeff
+        return out
+
+    for g in presentation.generators:
+        for h in presentation.generators:
+            for m in range(-4, 5):
+                for n in range(-4, 5):
+                    total = bracket_value(g, h, m, n)
+                    for key, coeff in bracket_value(h, g, n, m).items():
+                        total[key] = total.get(key, 0) + coeff
+                    if any(total.values()) and ok:
+                        ok = False
+                        witness = {"g": g, "h": h, "m": m, "n": n}
+    results.append(("bracket_antisymmetry", ok, witness))
+
+    omega = presentation.conformal_vector()
+    homogeneous = omega.is_homogeneous() and omega.max_weight() == 2
+    results.append(("conformal_vector_weight", homogeneous, None if homogeneous else format_element(omega)))
+
+    got = mode_action(omega, 3, omega)
+    want = FockVector.from_monomial(presentation, (), presentation.central_charge / 2)
+    results.append(
+        ("central_charge_recovered", got == want, None if got == want else format_element(got))
+    )
+    return results
+
+
+def _jacobi_instance(
+    presentation: Presentation,
+    u: FockVector,
+    v: FockVector,
+    m: int,
+    n: int,
+    ell: int,
+    x: FockVector,
+) -> tuple[FockVector, FockVector]:
+    """Both sides of the Jacobi identity applied to ``x``; finite sums."""
+    wu, wv, wx = u.max_weight(), v.max_weight(), x.max_weight()
+    lhs: dict[Monomial, Fraction] = {}
+    i = 0
+    while True:
+        c = binomial(ell, i)
+        first_alive = n + i <= wv + wx - 1
+        second_alive = m + i <= wu + wx - 1
+        if ell >= 0 and i > ell:
+            break
+        if not (first_alive or second_alive):
+            break
+        if c:
+            sign = -1 if i % 2 else 1
+            if first_alive:
+                term = mode_action(u, m + ell - i, mode_action(v, n + i, x))
+                add_scaled(lhs, term.terms.items(), sign * c)
+            if second_alive:
+                flip = -1 if ell % 2 == 0 else 1
+                term = mode_action(v, n + ell - i, mode_action(u, m + i, x))
+                add_scaled(lhs, term.terms.items(), sign * c * flip)
+        i += 1
+    rhs: dict[Monomial, Fraction] = {}
+    for i in range(max(wu + wv - ell, 0) + 1):
+        c = binomial(m, i)
+        if not c:
+            continue
+        uv = mode_action(u, ell + i, v)
+        if uv.is_zero:
+            continue
+        add_scaled(rhs, mode_action(uv, m + n - i, x).terms.items(), c)
+    return FockVector(presentation, lhs), FockVector(presentation, rhs)
+
+
+def axiom_suite(
+    presentation: Presentation, max_weight: int, seed: int = 0, jacobi_samples: int = 150
+) -> ReportDocument:
+    """Exact checks of the vacuum, grading, translation, Virasoro-bracket and
+    (sampled) Jacobi axioms on the weight window ``<= max_weight``.
+
+    The Jacobi identity is quantified over all states and integer triples,
+    which is infeasible; instead ``jacobi_samples`` instances are drawn with
+    the given seed from basis pairs of weight at most :data:`PAIR_WEIGHT` and
+    index triples bounded by :data:`INDEX_BOUND`, each applied to a basis
+    vector inside the window. The vacuum, grading and bracket checks are
+    exhaustive on the window; the translation check is exhaustive on the
+    :data:`PAIR_WEIGHT` window. Every failed record carries the witness
+    tuple that reproduces it.
+    """
+    omega = presentation.conformal_vector()
+    basis = basis_vectors(presentation, max_weight)
+    doc = ReportDocument.for_suite("axioms", presentation, cutoff=max_weight, seed=seed)
+
+    def record(name: str, params: dict, failures: list) -> None:
+        doc.add(CheckRecord.from_failures(name, params, failures))
+
+    failures = []
+    for name, ok, witness in presentation_checks(presentation):
+        if not ok:
+            failures.append({"check": name, "witness": witness})
+    record("presentation_invariants", {"cutoff": max_weight}, failures)
+
+    # Vacuum: v_i vac = delta_{i,-1} v for i >= -1.
+    failures = []
+    vac = FockVector.vacuum(presentation)
+    for v in basis:
+        top = truncation_bound(v, vac) + 2
+        for i in range(-1, top + 1):
+            got = mode_action(v, i, vac)
+            want = v if i == -1 else FockVector.zero(presentation)
+            if got != want:
+                failures.append({"v": format_element(v), "i": i, "got": format_element(got)})
+    record("vacuum_modes", {"cutoff": max_weight}, failures)
+
+    # Grading: omega_1 acts as the weight on homogeneous vectors.
+    failures = []
+    for v in basis:
+        got = mode_action(omega, 1, v)
+        want = v.max_weight() * v
+        if got != want:
+            failures.append({"v": format_element(v), "got": format_element(got)})
+    record("l0_grading", {"cutoff": max_weight}, failures)
+
+    # Translation: (L(-1)u)_n = -n u_{n-1} as operators on the window.
+    failures = []
+    small = basis_vectors(presentation, min(max_weight, PAIR_WEIGHT))
+    for u in small:
+        lu = mode_action(omega, 0, u)
+        for n in range(-INDEX_BOUND, INDEX_BOUND + 1):
+            for x in small:
+                got = mode_action(lu, n, x)
+                want = -n * mode_action(u, n - 1, x)
+                if got != want:
+                    failures.append(
+                        {"u": format_element(u), "n": n, "x": format_element(x)}
+                    )
+    record("translation_covariance", {"cutoff": max_weight, "bound": INDEX_BOUND}, failures)
+
+    # Virasoro bracket with central term, via omega modes.
+    failures = []
+    c = presentation.central_charge
+    for m in range(-INDEX_BOUND, INDEX_BOUND + 1):
+        for n in range(-INDEX_BOUND, INDEX_BOUND + 1):
+            for x in basis:
+                lm = lambda k, y: mode_action(omega, k + 1, y)  # noqa: E731
+                got = lm(m, lm(n, x)) - lm(n, lm(m, x))
+                want = (m - n) * lm(m + n, x)
+                if m + n == 0:
+                    want = want + Fraction(m**3 - m, 12) * c * x
+                if got != want:
+                    failures.append({"m": m, "n": n, "x": format_element(x)})
+    record("virasoro_bracket", {"cutoff": max_weight, "bound": INDEX_BOUND}, failures)
+
+    # Jacobi identity on sampled instances.
+    failures = []
+    rng = random.Random(seed)
+    pool = basis_vectors(presentation, min(max_weight, PAIR_WEIGHT))
+    b = INDEX_BOUND
+    for _ in range(jacobi_samples):
+        u = pool[rng.randrange(len(pool))]
+        v = pool[rng.randrange(len(pool))]
+        m = rng.randint(-b, b)
+        n = rng.randint(-b, b)
+        ell = rng.randint(-b, b)
+        x = basis[rng.randrange(len(basis))]
+        lhs, rhs = _jacobi_instance(presentation, u, v, m, n, ell, x)
+        if lhs != rhs:
+            failures.append(
+                {
+                    "u": format_element(u),
+                    "v": format_element(v),
+                    "m": m,
+                    "n": n,
+                    "l": ell,
+                    "x": format_element(x),
+                }
+            )
+    record(
+        "jacobi_sampled",
+        {"cutoff": max_weight, "samples": jacobi_samples, "seed": seed},
+        failures,
+    )
+    return doc

@@ -16,22 +16,26 @@ bracket of two stored modes ``g(m), h(n)`` always lands on stored index
 
 General states expose their full tower of modes through
 :func:`mode_action`, computed with the iterate formula derived from the
-Jacobi identity; :func:`axiom_suite` checks the axioms themselves on the
-resulting structure with exact arithmetic. Weighted sums of modes (the zero
-mode, Zhu products, single-mode words) share one kernel, :func:`mode_sum`.
+Jacobi identity. Weighted sums of modes (the zero mode, Zhu products,
+single-mode words) share one kernel, :func:`mode_sum`.
+
+This module is the data model and the mode kernel: the presentations, the
+basis, normal ordering (``_apply_mono``), the mode table (``_mode_mono``,
+:func:`mode_sum`, :func:`mode_action`, :func:`zero_mode`) and the memo
+registry behind :func:`clear_caches`. It holds no check and builds no
+report; the axiom checks on this structure are ``suites.axiom_suite``.
 """
 
 from __future__ import annotations
 
-import random
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from types import MappingProxyType
 
 from .combinatorics import binomial
 from .linalg import Combination, add_scaled
-from .report import CheckRecord, ReportDocument
 
 # A basis monomial: ((mode, generator), ...) sorted ascending, acting on the
 # vacuum. The empty tuple is the vacuum itself. Tuple comparison is the
@@ -69,38 +73,26 @@ class BracketTerm:
 class Presentation:
     """A strongly generated vertex operator algebra on its vacuum module.
 
-    Compared and hashed by identity: :func:`builtin_presentation` returns one
-    shared object per VOA, and a copy built by hand is another presentation.
+    The fields are lookup tables: ``generators`` maps each label to its
+    conformal weight (insertion order is the generator order),
+    ``vacuum_thresholds`` maps it to the least ``m`` with ``g(m)|vac> = 0``,
+    and ``brackets`` maps an ordered pair of labels to the terms of
+    ``[g(m), h(n)]``. Each is stored as a read-only copy, since the memo
+    tables trust a presentation never to change. Compared and hashed by
+    identity: :func:`builtin_presentation` returns one shared object per
+    VOA, and a copy built by hand is another presentation.
     """
 
     name: str
-    generators: tuple[tuple[str, int], ...]  # (label, conformal weight)
-    brackets: tuple[tuple[tuple[str, str], tuple[BracketTerm, ...]], ...]
+    generators: Mapping[str, int]
+    brackets: Mapping[tuple[str, str], tuple[BracketTerm, ...]]
     central_charge: Fraction
     conformal_recipe: tuple[tuple[Monomial, Fraction], ...]
-    vacuum_thresholds: tuple[tuple[str, int], ...]  # least m with g(m)|vac> = 0
+    vacuum_thresholds: Mapping[str, int]
 
-    def weight_of(self, label: str) -> int:
-        for gen, wt in self.generators:
-            if gen == label:
-                return wt
-        raise KeyError(f"unknown generator {label!r} in presentation {self.name}")
-
-    def threshold_of(self, label: str) -> int:
-        for gen, thr in self.vacuum_thresholds:
-            if gen == label:
-                return thr
-        raise KeyError(f"unknown generator {label!r} in presentation {self.name}")
-
-    def bracket_terms(self, g: str, h: str) -> tuple[BracketTerm, ...]:
-        for pair, terms in self.brackets:
-            if pair == (g, h):
-                return terms
-        raise KeyError(f"no bracket table entry for ({g}, {h})")
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(gen for gen, _ in self.generators)
+    def __post_init__(self) -> None:
+        for field in ("generators", "brackets", "vacuum_thresholds"):
+            object.__setattr__(self, field, MappingProxyType(dict(getattr(self, field))))
 
     def conformal_vector(self) -> "FockVector":
         return FockVector(self, dict(self.conformal_recipe))
@@ -147,13 +139,11 @@ def _intern_builtin(name: str, c: Fraction | None) -> Presentation:
         mono_aa: Monomial = ((-1, "a"), (-1, "a"))
         return Presentation(
             name="heisenberg",
-            generators=(("a", 1),),
-            brackets=(
-                (("a", "a"), (BracketTerm(poly=(((1, 0), 1),), target=None, kronecker=0),)),
-            ),
+            generators={"a": 1},
+            brackets={("a", "a"): (BracketTerm(poly=(((1, 0), 1),), target=None, kronecker=0),)},
             central_charge=Fraction(1),
             conformal_recipe=((mono_aa, Fraction(1, 2)),),
-            vacuum_thresholds=(("a", 0),),
+            vacuum_thresholds={"a": 0},
         )
     if name == "virasoro":
         vir_terms = (
@@ -167,11 +157,11 @@ def _intern_builtin(name: str, c: Fraction | None) -> Presentation:
         )
         return Presentation(
             name="virasoro",
-            generators=(("L", 2),),
-            brackets=((("L", "L"), vir_terms),),
+            generators={"L": 2},
+            brackets={("L", "L"): vir_terms},
             central_charge=c,
             conformal_recipe=((((-2, "L"),), Fraction(1)),),
-            vacuum_thresholds=(("L", -1),),
+            vacuum_thresholds={"L": -1},
         )
     raise ValueError(f"unknown presentation {name!r}")
 
@@ -247,8 +237,8 @@ def enumerate_basis(presentation: Presentation, max_weight: int) -> list[tuple[i
         raise ValueError("max_weight must be nonnegative")
     creation_pairs = sorted(
         (m, gen)
-        for gen, _ in presentation.generators
-        for m in range(-max_weight, presentation.threshold_of(gen))
+        for gen in presentation.generators
+        for m in range(-max_weight, presentation.vacuum_thresholds[gen])
     )
 
     def extend(remaining: int, min_index: int) -> Iterator[Monomial]:
@@ -305,7 +295,7 @@ def _apply_mono(presentation: Presentation, gen: str, m: int, mono: Monomial) ->
     otherwise the mode is commuted past the head using the bracket table,
     which terminates because bracket terms strictly shorten the monomial.
     """
-    threshold = presentation.threshold_of(gen)
+    threshold = presentation.vacuum_thresholds[gen]
     if not mono:
         if m < threshold:
             return ((((m, gen),), 1),)
@@ -318,7 +308,7 @@ def _apply_mono(presentation: Presentation, gen: str, m: int, mono: Monomial) ->
     acc: dict[Monomial, Fraction] = {}
     for mono2, c2 in _apply_mono(presentation, gen, m, tail):
         add_scaled(acc, _apply_mono(presentation, head_g, head_m, mono2), c2)
-    for term in presentation.bracket_terms(gen, head_g):
+    for term in presentation.brackets[gen, head_g]:
         coeff = _eval_poly(term.poly, m, head_m)
         if not coeff:
             continue
@@ -345,7 +335,7 @@ def _mode_mono(presentation: Presentation, umono: Monomial, n: int, vmono: Monom
     if not umono:
         return ((vmono, 1),) if n == -1 else ()
     head_m, head_g = umono[0]
-    gen_weight = presentation.weight_of(head_g)
+    gen_weight = presentation.generators[head_g]
     if len(umono) == 1 and head_m == -gen_weight:
         return _apply_mono(presentation, head_g, n - gen_weight + 1, vmono)
 
@@ -451,213 +441,3 @@ def clear_caches() -> None:
     The shared built-in presentations are kept."""
     for table in _MEMOS:
         table.cache_clear()
-
-
-# ---------------------------------------------------------------------------
-# Axiom checks
-# ---------------------------------------------------------------------------
-
-
-# Sampling bounds of :func:`axiom_suite`: state weight and mode index.
-PAIR_WEIGHT = 4
-INDEX_BOUND = 3
-
-
-def presentation_checks(presentation: Presentation) -> list[tuple[str, bool, object]]:
-    """Structural invariants of the presentation data itself.
-
-    Returns (name, passed, witness) triples: bracket antisymmetry on sampled
-    index pairs, the conformal vector having weight 2, and the central
-    charge recovered from ``omega_3 omega = (c/2) vac``.
-    """
-    results: list[tuple[str, bool, object]] = []
-
-    ok = True
-    witness: object = None
-    def bracket_value(first: str, second: str, mi: int, ni: int) -> dict[object, Fraction]:
-        out: dict[object, Fraction] = {}
-        for term in presentation.bracket_terms(first, second):
-            if term.target is None and mi + ni != term.kronecker:
-                continue
-            coeff = _eval_poly(term.poly, mi, ni)
-            if coeff:
-                key = (term.target, term.uses_charge)
-                out[key] = out.get(key, 0) + coeff
-        return out
-
-    for g in presentation.labels:
-        for h in presentation.labels:
-            for m in range(-4, 5):
-                for n in range(-4, 5):
-                    total = bracket_value(g, h, m, n)
-                    for key, coeff in bracket_value(h, g, n, m).items():
-                        total[key] = total.get(key, 0) + coeff
-                    if any(total.values()) and ok:
-                        ok = False
-                        witness = {"g": g, "h": h, "m": m, "n": n}
-    results.append(("bracket_antisymmetry", ok, witness))
-
-    omega = presentation.conformal_vector()
-    homogeneous = omega.is_homogeneous() and omega.max_weight() == 2
-    results.append(("conformal_vector_weight", homogeneous, None if homogeneous else format_element(omega)))
-
-    got = mode_action(omega, 3, omega)
-    want = FockVector.from_monomial(presentation, (), presentation.central_charge / 2)
-    results.append(
-        ("central_charge_recovered", got == want, None if got == want else format_element(got))
-    )
-    return results
-
-
-def _jacobi_instance(
-    presentation: Presentation,
-    u: FockVector,
-    v: FockVector,
-    m: int,
-    n: int,
-    ell: int,
-    x: FockVector,
-) -> tuple[FockVector, FockVector]:
-    """Both sides of the Jacobi identity applied to ``x``; finite sums."""
-    wu, wv, wx = u.max_weight(), v.max_weight(), x.max_weight()
-    lhs: dict[Monomial, Fraction] = {}
-    i = 0
-    while True:
-        c = binomial(ell, i)
-        first_alive = n + i <= wv + wx - 1
-        second_alive = m + i <= wu + wx - 1
-        if ell >= 0 and i > ell:
-            break
-        if not (first_alive or second_alive):
-            break
-        if c:
-            sign = -1 if i % 2 else 1
-            if first_alive:
-                term = mode_action(u, m + ell - i, mode_action(v, n + i, x))
-                add_scaled(lhs, term.terms.items(), sign * c)
-            if second_alive:
-                flip = -1 if ell % 2 == 0 else 1
-                term = mode_action(v, n + ell - i, mode_action(u, m + i, x))
-                add_scaled(lhs, term.terms.items(), sign * c * flip)
-        i += 1
-    rhs: dict[Monomial, Fraction] = {}
-    for i in range(max(wu + wv - ell, 0) + 1):
-        c = binomial(m, i)
-        if not c:
-            continue
-        uv = mode_action(u, ell + i, v)
-        if uv.is_zero:
-            continue
-        add_scaled(rhs, mode_action(uv, m + n - i, x).terms.items(), c)
-    return FockVector(presentation, lhs), FockVector(presentation, rhs)
-
-
-def axiom_suite(
-    presentation: Presentation, max_weight: int, seed: int = 0, jacobi_samples: int = 150
-) -> ReportDocument:
-    """Exact checks of the vacuum, grading, translation, Virasoro-bracket and
-    (sampled) Jacobi axioms on the weight window ``<= max_weight``.
-
-    The Jacobi identity is quantified over all states and integer triples,
-    which is infeasible; instead ``jacobi_samples`` instances are drawn with
-    the given seed from basis pairs of weight at most :data:`PAIR_WEIGHT` and
-    index triples bounded by :data:`INDEX_BOUND`, each applied to a basis
-    vector inside the window. The vacuum, grading and bracket checks are
-    exhaustive on the window; the translation check is exhaustive on the
-    :data:`PAIR_WEIGHT` window. Every failed record carries the witness
-    tuple that reproduces it.
-    """
-    omega = presentation.conformal_vector()
-    basis = basis_vectors(presentation, max_weight)
-    doc = ReportDocument.for_suite("axioms", presentation, cutoff=max_weight, seed=seed)
-
-    def record(name: str, params: dict, failures: list) -> None:
-        doc.add(CheckRecord.from_failures(name, params, failures))
-
-    failures = []
-    for name, ok, witness in presentation_checks(presentation):
-        if not ok:
-            failures.append({"check": name, "witness": witness})
-    record("presentation_invariants", {"cutoff": max_weight}, failures)
-
-    # Vacuum: v_i vac = delta_{i,-1} v for i >= -1.
-    failures = []
-    vac = FockVector.vacuum(presentation)
-    for v in basis:
-        top = truncation_bound(v, vac) + 2
-        for i in range(-1, top + 1):
-            got = mode_action(v, i, vac)
-            want = v if i == -1 else FockVector.zero(presentation)
-            if got != want:
-                failures.append({"v": format_element(v), "i": i, "got": format_element(got)})
-    record("vacuum_modes", {"cutoff": max_weight}, failures)
-
-    # Grading: omega_1 acts as the weight on homogeneous vectors.
-    failures = []
-    for v in basis:
-        got = mode_action(omega, 1, v)
-        want = v.max_weight() * v
-        if got != want:
-            failures.append({"v": format_element(v), "got": format_element(got)})
-    record("l0_grading", {"cutoff": max_weight}, failures)
-
-    # Translation: (L(-1)u)_n = -n u_{n-1} as operators on the window.
-    failures = []
-    small = basis_vectors(presentation, min(max_weight, PAIR_WEIGHT))
-    for u in small:
-        lu = mode_action(omega, 0, u)
-        for n in range(-INDEX_BOUND, INDEX_BOUND + 1):
-            for x in small:
-                got = mode_action(lu, n, x)
-                want = -n * mode_action(u, n - 1, x)
-                if got != want:
-                    failures.append(
-                        {"u": format_element(u), "n": n, "x": format_element(x)}
-                    )
-    record("translation_covariance", {"cutoff": max_weight, "bound": INDEX_BOUND}, failures)
-
-    # Virasoro bracket with central term, via omega modes.
-    failures = []
-    c = presentation.central_charge
-    for m in range(-INDEX_BOUND, INDEX_BOUND + 1):
-        for n in range(-INDEX_BOUND, INDEX_BOUND + 1):
-            for x in basis:
-                lm = lambda k, y: mode_action(omega, k + 1, y)  # noqa: E731
-                got = lm(m, lm(n, x)) - lm(n, lm(m, x))
-                want = (m - n) * lm(m + n, x)
-                if m + n == 0:
-                    want = want + Fraction(m**3 - m, 12) * c * x
-                if got != want:
-                    failures.append({"m": m, "n": n, "x": format_element(x)})
-    record("virasoro_bracket", {"cutoff": max_weight, "bound": INDEX_BOUND}, failures)
-
-    # Jacobi identity on sampled instances.
-    failures = []
-    rng = random.Random(seed)
-    pool = basis_vectors(presentation, min(max_weight, PAIR_WEIGHT))
-    b = INDEX_BOUND
-    for _ in range(jacobi_samples):
-        u = pool[rng.randrange(len(pool))]
-        v = pool[rng.randrange(len(pool))]
-        m = rng.randint(-b, b)
-        n = rng.randint(-b, b)
-        ell = rng.randint(-b, b)
-        x = basis[rng.randrange(len(basis))]
-        lhs, rhs = _jacobi_instance(presentation, u, v, m, n, ell, x)
-        if lhs != rhs:
-            failures.append(
-                {
-                    "u": format_element(u),
-                    "v": format_element(v),
-                    "m": m,
-                    "n": n,
-                    "l": ell,
-                    "x": format_element(x),
-                }
-            )
-    record(
-        "jacobi_sampled",
-        {"cutoff": max_weight, "samples": jacobi_samples, "seed": seed},
-        failures,
-    )
-    return doc

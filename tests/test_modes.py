@@ -14,7 +14,7 @@ from zhu_forge import (
     evaluate_expression,
     expand_iterate_side,
     expand_product_side,
-    filtration_report,
+    find_witness,
     format_element,
     format_word,
     homomorphism_check,
@@ -33,7 +33,7 @@ from zhu_forge import (
 )
 from zhu_forge import cli, enumerate_basis
 from zhu_forge import modes as modes_module
-from zhu_forge.modes import UEAExpression, find_witness
+from zhu_forge.modes import UEAExpression
 from zhu_forge.voa import zero_mode
 
 HEIS = builtin_presentation("heisenberg")
@@ -441,23 +441,9 @@ def test_find_witness_on_singleton():
     assert find_witness(word, -1) is None
 
 
-def test_filtration_report_on_circle_expansion():
-    for level in (0, 1, 2):
-        expansion = expand_product_side(
-            A, A, level + 1, level + 1, -2 * level - 2, right_bound=level + 8
-        )
-        doc = filtration_report(expansion, -(level + 1))
-        assert doc.passed
-
-
-def test_filtration_report_fails_on_plain_zero_mode():
-    doc = filtration_report(mode_symbol(A, 0), -1)
-    assert not doc.passed
-
-
-def test_filtration_report_rejects_inhomogeneous_degree():
-    with pytest.raises(ValueError):
-        filtration_report(mode_symbol(A, 1), -1)
+def test_find_witness_fails_on_plain_zero_mode():
+    (word,) = mode_symbol(A, 0).terms
+    assert find_witness(word, -1) is None
 
 
 # --- word reduction -------------------------------------------------------------------
@@ -473,6 +459,13 @@ def test_reduce_singleton_is_identity():
 def test_reduce_requires_degree_zero():
     with pytest.raises(ValueError):
         reduce_word(HEIS, [(A, 1), (A, 0)], 1)
+
+
+@pytest.mark.parametrize("letters", (1, 2), ids=("one-letter", "two-letter"))
+def test_reduce_rejects_an_unknown_variant(letters):
+    # A one-letter word needs no rewriting, and is refused all the same.
+    with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+        reduce_word(HEIS, [(A, 0)] * letters, 1, "bogus")
 
 
 def test_reduce_pair_matches_star_product():

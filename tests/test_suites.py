@@ -170,7 +170,7 @@ def test_each_suite_builds_exactly_one_report(monkeypatch):
         "iso": lambda: modes.homomorphism_check(HEIS, 1, 4),
         "deep_tail": lambda: deep_tail_witness_suite(HEIS, levels=(0, 1), weight_bound=3),
         "appendix": lambda: appendix_suite(HEIS, depth_range=(0, 2), operator_samples=5),
-        "axioms": lambda: voa.axiom_suite(HEIS, 3),
+        "axioms": lambda: zhu_forge.axiom_suite(HEIS, 3),
     }
     for name, run in suites.items():
         built.clear()

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import random
 from fractions import Fraction
@@ -16,8 +17,10 @@ from zhu_forge import (
     monomial_weight,
     truncation_bound,
 )
+from zhu_forge import voa
 from zhu_forge.combinatorics import binomial
-from zhu_forge.voa import BracketTerm, presentation_checks
+from zhu_forge.suites import presentation_checks
+from zhu_forge.voa import BracketTerm
 
 HEIS = builtin_presentation("heisenberg")
 VIR = builtin_presentation("virasoro", Fraction(1, 2))
@@ -266,12 +269,7 @@ def test_axiom_suite_passes_quickly():
 def test_axiom_suite_catches_tampered_bracket():
     tampered = dataclasses.replace(
         VIR,
-        brackets=(
-            (
-                ("L", "L"),
-                (BracketTerm(poly=(((1, 0), 1), ((0, 1), -1)), target="L"),),
-            ),
-        ),
+        brackets={("L", "L"): (BracketTerm(poly=(((1, 0), 1), ((0, 1), -1)), target="L"),)},
     )
     doc = axiom_suite(tampered, 4, seed=0, jacobi_samples=10)
     assert not doc.passed
@@ -285,3 +283,42 @@ def test_report_is_deterministic():
     first = axiom_suite(HEIS, 4, seed=9, jacobi_samples=25).canonical_bytes()
     second = axiom_suite(HEIS, 4, seed=9, jacobi_samples=25).canonical_bytes()
     assert first == second
+
+
+def test_voa_is_the_kernel_and_holds_no_check():
+    # voa.py holds the data model and the mode kernel; every check lives in
+    # suites.py, and Presentation's fields are indexed directly.
+    tree = ast.parse(open(voa.__file__, encoding="utf-8").read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert ".report" not in imported and "zhu_forge.report" not in imported
+    assert "random" not in imported
+    defined = {
+        node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    } | {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    moved = {"axiom_suite", "presentation_checks", "_jacobi_instance", "PAIR_WEIGHT", "INDEX_BOUND"}
+    searches = {"weight_of", "threshold_of", "bracket_terms", "labels"}
+    assert defined & (moved | searches) == set()
+    assert HEIS.generators == {"a": 1} and VIR.vacuum_thresholds == {"L": -1}
+
+
+def test_presentation_tables_are_read_only():
+    # The built-in presentations are shared, and the memo tables key on them.
+    table = {"L": 2}
+    copy = dataclasses.replace(VIR, generators=table)
+    table["M"] = 3
+    assert copy.generators == {"L": 2}
+    for presentation in (HEIS, VIR, copy):
+        for field in ("generators", "brackets", "vacuum_thresholds"):
+            with pytest.raises(TypeError):
+                getattr(presentation, field)["x"] = 0
