@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import inspect
 import random
 from fractions import Fraction
 
@@ -288,7 +289,7 @@ def test_report_is_deterministic():
 def test_voa_is_the_kernel_and_holds_no_check():
     # voa.py holds the data model and the mode kernel; every check lives in
     # suites.py, and Presentation's fields are indexed directly.
-    tree = ast.parse(open(voa.__file__, encoding="utf-8").read())
+    tree = ast.parse(inspect.getsource(voa))
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
