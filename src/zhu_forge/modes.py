@@ -14,14 +14,18 @@ is at least ``-k`` (:func:`find_witness`); such a suffix also
 annihilates every vector killed by all shifts above ``-k-1``, which is what
 makes discarding deep tails sound in :func:`reduce_word`.
 
-The current-algebra bracket, the single-mode side of the Jacobi identity
-and the head of the pair rewrite all have the form
-``J_shift(sum c * u_k v)``. For basis monomials of ``u`` and ``v`` the shift
-and the pairs ``(k, c)`` depend only on the two weights, so each is one call
-of the term-pair kernel ``voa.mode_sum``, which the Zhu products share and
-which reads the memoized mode-action table once per index ``k``; the pair
-rewrite sums its coefficients per ``k`` first. Two-letter words
-``J_p(u) J_q(v)`` are built straight from pairs of terms
+The Jacobi identity is written once, as its two sides
+:func:`expand_product_side` and :func:`expand_iterate_side`. The
+current-algebra bracket (:func:`vhat_bracket`) is the iterate side at
+``ell = 0`` over the weight parts of its arguments, and the sampled Jacobi
+check of ``suites.axiom_suite`` evaluates both sides on a vector. The
+iterate side and the head of the pair rewrite have the form
+``J_shift(sum c * u_k v)`` with one shift for the whole sum; for basis
+monomials of ``u`` and ``v`` the pairs ``(k, c)`` depend only on the two
+weights, so each is one call of the term-pair kernel ``voa.mode_sum``, which
+the Zhu products share and which reads the memoized mode-action table once
+per index ``k``; the pair rewrite sums its coefficients per ``k`` first.
+Two-letter words ``J_p(u) J_q(v)`` are built straight from pairs of terms
 (:func:`_add_two_letters`).
 
 No relation between modes of ``u`` and modes of ``L(-1)u`` is applied to
@@ -114,14 +118,6 @@ def _add_two_letters(acc: dict, u: FockVector, p: int, v: FockVector, q: int, co
         add_scaled(acc, ((left + w, d) for w, d in right), c * coeff)
 
 
-def _shifted_letters(groups: dict[int, dict[Monomial, Fraction]]) -> dict[Word, Fraction]:
-    """The one-letter words of the groups ``{shift: terms}`` of ``mode_sum``."""
-    words: dict[Word, Fraction] = {}
-    for shift, acc in groups.items():
-        words.update(_letters(acc.items(), shift))
-    return words
-
-
 def word_expression(
     presentation: Presentation, factors: list[tuple[FockVector, int]]
 ) -> UEAExpression:
@@ -135,16 +131,18 @@ def word_expression(
 def vhat_bracket(u: FockVector, m: int, v: FockVector, n: int) -> UEAExpression:
     """Commutator ``[u(m), v(n)]`` in the current algebra, in shifted form.
 
-    Expands ``sum_i C(m, i) (u_i v)(m+n-i)``. For basis monomials of
-    weights ``a`` and ``b`` the vector ``u_i v`` has weight ``a+b-i-1``, so
-    the sum stops at ``i = a+b-1`` and every raw mode ``(u_i v)(m+n-i)`` has
-    the same shift ``m+n-a-b+2``.
+    Expands ``sum_i C(m, i) (u_i v)(m+n-i)``. For homogeneous parts ``u_a``
+    and ``v_b`` of weights ``a`` and ``b`` the raw mode ``u_a(m)`` has shift
+    ``m-a+1``, and the sum is :func:`expand_iterate_side` at ``ell = 0`` with
+    the shifts ``m-a+1`` and ``n-b+1``.
     """
-
-    def expansion(a: int, b: int):
-        return m + n - a - b + 2, ((i, binomial(m, i)) for i in range(a + b))
-
-    return UEAExpression._adopt(u.presentation, _shifted_letters(mode_sum(u, v, expansion)))
+    u._check_same(v)
+    acc: dict[Word, Fraction] = {}
+    for a, u_a in u.weight_decomposition().items():
+        for b, v_b in v.weight_decomposition().items():
+            side = expand_iterate_side(u_a, v_b, m - a + 1, n - b + 1, 0)
+            add_scaled(acc, side.terms.items())
+    return UEAExpression._adopt(u.presentation, acc)
 
 
 def expand_iterate_side(
@@ -154,9 +152,10 @@ def expand_iterate_side(
     ``sum_i C(m + wt(u) - 1, i) J_{m+n+ell}(u_{ell+i} v)``."""
 
     def expansion(a: int, b: int):
-        return m + n + ell, ((ell + i, binomial(m + a - 1, i)) for i in range(a + b - ell))
+        return ((ell + i, binomial(m + a - 1, i)) for i in range(a + b - ell))
 
-    return UEAExpression._adopt(u.presentation, _shifted_letters(mode_sum(u, v, expansion)))
+    letters = _letters(mode_sum(u, v, expansion).items(), m + n + ell)
+    return UEAExpression._adopt(u.presentation, dict(letters))
 
 
 def expand_product_side(
@@ -299,9 +298,9 @@ def pair_expansion(
             for i in range(depth + a + 1):
                 k = -depth - s - 1 - j + i
                 per_k[k] = per_k.get(k, 0) + cj * binomial(depth + a, i)
-        return t - s, per_k.items()
+        return per_k.items()
 
-    acc = _shifted_letters(mode_sum(u, v, expansion))
+    acc = dict(_letters(mode_sum(u, v, expansion).items(), t - s))
     if right_bound is not None:
         _add_pair_tails(acc, s, t, depth, u, v, right_bound - t, right_bound - depth - 1)
     return UEAExpression._adopt(u.presentation, acc)

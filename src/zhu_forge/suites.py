@@ -11,11 +11,14 @@ from :meth:`ReportDocument.for_suite`. The command line picks the suite for
 each subcommand itself (``cli.SUITES``), and the acceptance tests call these
 functions directly. A suite reads values, never another suite's report, so
 one suite call builds exactly one report; a record that two suites share
-comes from one function (:func:`ideal_containment`). Zhu contexts come from
-the memoized :func:`zhu.build_zhu_context`, so each truncated span is built
-once per process whichever suite asks for it first; the zhu suite reads its
-star products, reduced, from one :class:`StarTable` per run, and the omega
-suite checks the kernel subspace that :func:`zhu.omega_subspace` returns.
+comes from one function (:func:`ideal_containment`). A check evaluates the
+library's own expansion of an identity and does not rederive it: the
+sampled Jacobi check applies the two sides that ``modes`` writes. Zhu
+contexts come from the memoized :func:`zhu.build_zhu_context`, so each
+truncated span is built once per process whichever suite asks for it
+first; the zhu suite reads its star products, reduced, from one
+:class:`StarTable` per run, and the omega suite checks the kernel subspace
+that :func:`zhu.omega_subspace` returns.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ import random
 from fractions import Fraction
 from itertools import chain
 
-from .combinatorics import binomial
 from .linalg import add_scaled, exact, reduce_vector, rref
 from .modes import (
     evaluate_expression,
+    expand_iterate_side,
     expand_product_side,
     find_witness,
     pair_expansion,
@@ -38,7 +41,6 @@ from .modes import (
 from .report import CheckRecord, ReportDocument
 from .voa import (
     FockVector,
-    Monomial,
     Presentation,
     _eval_poly,
     basis_vectors,
@@ -443,49 +445,6 @@ def presentation_checks(presentation: Presentation) -> list[tuple[str, bool, obj
     return results
 
 
-def _jacobi_instance(
-    presentation: Presentation,
-    u: FockVector,
-    v: FockVector,
-    m: int,
-    n: int,
-    ell: int,
-    x: FockVector,
-) -> tuple[FockVector, FockVector]:
-    """Both sides of the Jacobi identity applied to ``x``; finite sums."""
-    wu, wv, wx = u.max_weight(), v.max_weight(), x.max_weight()
-    lhs: dict[Monomial, Fraction] = {}
-    i = 0
-    while True:
-        c = binomial(ell, i)
-        first_alive = n + i <= wv + wx - 1
-        second_alive = m + i <= wu + wx - 1
-        if ell >= 0 and i > ell:
-            break
-        if not (first_alive or second_alive):
-            break
-        if c:
-            sign = -1 if i % 2 else 1
-            if first_alive:
-                term = mode_action(u, m + ell - i, mode_action(v, n + i, x))
-                add_scaled(lhs, term.terms.items(), sign * c)
-            if second_alive:
-                flip = -1 if ell % 2 == 0 else 1
-                term = mode_action(v, n + ell - i, mode_action(u, m + i, x))
-                add_scaled(lhs, term.terms.items(), sign * c * flip)
-        i += 1
-    rhs: dict[Monomial, Fraction] = {}
-    for i in range(max(wu + wv - ell, 0) + 1):
-        c = binomial(m, i)
-        if not c:
-            continue
-        uv = mode_action(u, ell + i, v)
-        if uv.is_zero:
-            continue
-        add_scaled(rhs, mode_action(uv, m + n - i, x).terms.items(), c)
-    return FockVector(presentation, lhs), FockVector(presentation, rhs)
-
-
 def axiom_suite(
     presentation: Presentation, max_weight: int, seed: int = 0, jacobi_samples: int = 150
 ) -> ReportDocument:
@@ -496,7 +455,9 @@ def axiom_suite(
     which is infeasible; instead ``jacobi_samples`` instances are drawn with
     the given seed from basis pairs of weight at most :data:`PAIR_WEIGHT` and
     index triples bounded by :data:`INDEX_BOUND`, each applied to a basis
-    vector inside the window. The vacuum, grading and bracket checks are
+    vector ``x`` inside the window: the sides ``modes.expand_product_side``
+    and ``modes.expand_iterate_side``, in shifted indices, are evaluated on
+    ``x`` and compared. The vacuum, grading and bracket checks are
     exhaustive on the window; the translation check is exhaustive on the
     :data:`PAIR_WEIGHT` window. Every failed record carries the witness
     tuple that reproduces it.
@@ -577,7 +538,12 @@ def axiom_suite(
         n = rng.randint(-b, b)
         ell = rng.randint(-b, b)
         x = basis[rng.randrange(len(basis))]
-        lhs, rhs = _jacobi_instance(presentation, u, v, m, n, ell, x)
+        # Shifted indices: the raw mode u_m is J_{m - wt(u) + 1}(u).
+        mu, nv = m - u.max_weight() + 1, n - v.max_weight() + 1
+        # A right factor of shift above wt(x) kills x, so the bound is exact.
+        product_side = expand_product_side(u, v, mu, nv, ell, max(x.max_weight(), mu, nv))
+        lhs = evaluate_expression(product_side, x)
+        rhs = evaluate_expression(expand_iterate_side(u, v, mu, nv, ell), x)
         if lhs != rhs:
             failures.append(
                 {

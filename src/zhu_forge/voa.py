@@ -17,7 +17,8 @@ bracket of two stored modes ``g(m), h(n)`` always lands on stored index
 General states expose their full tower of modes through
 :func:`mode_action`, computed with the iterate formula derived from the
 Jacobi identity. Weighted sums of modes (the zero mode, Zhu products,
-single-mode words) share one kernel, :func:`mode_sum`.
+single-mode words) share one kernel, :func:`mode_sum`, which returns the
+terms of one vector; a caller that builds words gives them one shift.
 
 This module is the data model and the mode kernel: the presentations, the
 basis, normal ordering (``_apply_mono``), the mode table (``_mode_mono``,
@@ -378,25 +379,23 @@ def apply_generator_mode(
     return FockVector(presentation, acc)
 
 
-def mode_sum(u: FockVector, v: FockVector, expansion) -> dict[int, dict[Monomial, Fraction]]:
-    """Sums ``c * m_k n`` over basis monomials ``m`` of ``u`` and ``n`` of
-    ``v``, grouped by key: for the weights ``a, b`` of ``m, n``,
-    ``expansion(a, b)`` returns the key and the pairs ``(k, c)``, at most
-    one per index ``k``. Each ``m_k n`` is one read of ``_mode_mono``; it
-    has weight ``a+b-k-1``, so ``k >= a+b`` is skipped."""
+def mode_sum(u: FockVector, v: FockVector, expansion) -> dict[Monomial, Fraction]:
+    """The terms of the sum of ``c * m_k n`` over basis monomials ``m`` of
+    ``u`` and ``n`` of ``v``: for the weights ``a, b`` of ``m, n``,
+    ``expansion(a, b)`` returns the pairs ``(k, c)``, at most one per index
+    ``k``. Each ``m_k n`` is one read of ``_mode_mono``; it has weight
+    ``a+b-k-1``, so ``k >= a+b`` is skipped."""
     u._check_same(v)
     presentation = u.presentation
     vterms = [(vmono, monomial_weight(vmono), vcoeff) for vmono, vcoeff in v.terms.items()]
-    groups: dict[int, dict[Monomial, Fraction]] = {}
+    acc: dict[Monomial, Fraction] = {}
     for umono, ucoeff in u.terms.items():
         a = monomial_weight(umono)
         for vmono, b, vcoeff in vterms:
-            key, pairs = expansion(a, b)
-            acc = groups.setdefault(key, {})
-            for k, c in pairs:
+            for k, c in expansion(a, b):
                 if c and k < a + b:
                     add_scaled(acc, _mode_mono(presentation, umono, k, vmono), c * ucoeff * vcoeff)
-    return groups
+    return acc
 
 
 def mode_action(u: FockVector, n: int, v: FockVector) -> FockVector:
@@ -419,8 +418,7 @@ def zero_mode(u: FockVector, x: FockVector) -> FockVector:
     """The zero mode ``o(u) x``: each basis monomial ``m`` of ``u`` acts by
     ``m_{wt(m)-1}``, so ``o`` is linear in ``u`` even when ``u`` is not
     homogeneous, and the vacuum acts as the identity."""
-    acc = mode_sum(u, x, lambda a, b: (0, ((a - 1, 1),))).get(0, {})
-    return FockVector._adopt(u.presentation, acc)
+    return FockVector._adopt(u.presentation, mode_sum(u, x, lambda a, b: ((a - 1, 1),)))
 
 
 def truncation_bound(u: FockVector, v: FockVector) -> int:

@@ -14,6 +14,8 @@ stored: :func:`circle_product` and :func:`star_product` are one
 :func:`_star_coefficients`. Products are windowed by weight alone:
 :func:`spanning_vectors` keeps a circle product whose top weight fits under
 the cutoff, and :func:`star_top_weight` gives a star product's top weight.
+The span's circle products and the ``u_{-2} v`` rows of :func:`c2_dims` come
+from one loop over basis pairs under a weight bound, :func:`_pair_rows`.
 The level ideal is spanned by all circle products and ``L(-1)u + L(0)u``; a
 :class:`ZhuContext` holds the row-reduced span of the spanning vectors whose
 components all fit under a weight cutoff. That is an inner approximation of
@@ -73,9 +75,9 @@ def circle_product(u: FockVector, v: FockVector, level: int) -> FockVector:
 
     def expansion(a: int, b: int):
         top = a + level
-        return 0, ((i - 2 * level - 2, binomial(top, i)) for i in range(top + 1))
+        return ((i - 2 * level - 2, binomial(top, i)) for i in range(top + 1))
 
-    return FockVector._adopt(u.presentation, mode_sum(u, v, expansion).get(0, {}))
+    return FockVector._adopt(u.presentation, mode_sum(u, v, expansion))
 
 
 def star_product(u: FockVector, v: FockVector, level: int) -> FockVector:
@@ -86,9 +88,9 @@ def star_product(u: FockVector, v: FockVector, level: int) -> FockVector:
         raise ValueError("level must be nonnegative")
 
     def expansion(a: int, b: int):
-        return 0, ((a - 1 - d, c) for d, c in enumerate(_star_coefficients(a, level)))
+        return ((a - 1 - d, c) for d, c in enumerate(_star_coefficients(a, level)))
 
-    return FockVector._adopt(u.presentation, mode_sum(u, v, expansion).get(0, {}))
+    return FockVector._adopt(u.presentation, mode_sum(u, v, expansion))
 
 
 @memo
@@ -206,10 +208,19 @@ def _free_monomials(presentation: Presentation, cutoff: int, pivots: dict) -> Di
     return DimensionTable(rows)
 
 
-def _weighted_basis(presentation: Presentation, max_weight: int) -> list[tuple[int, FockVector]]:
-    """``basis_vectors`` paired with their weights, read from the enumeration."""
-    basis = enumerate_basis(presentation, max_weight)
-    return [(w, FockVector.from_monomial(presentation, m)) for w, monos in basis for m in monos]
+def _pair_rows(presentation: Presentation, bound: int, product) -> list[FockVector]:
+    """The nonzero ``product(u, v)`` over pairs of basis vectors with
+    ``wt(u) + wt(v) <= bound``, ``u`` outer and both in basis order."""
+    if bound < 0:
+        return []
+    basis = enumerate_basis(presentation, bound)
+    flat = [(w, FockVector.from_monomial(presentation, m)) for w, monos in basis for m in monos]
+    return [
+        prod
+        for wu, u in flat
+        for wv, v in flat
+        if wu + wv <= bound and (prod := product(u, v))
+    ]
 
 
 def spanning_vectors(presentation: Presentation, level: int, cutoff: int) -> list[FockVector]:
@@ -220,15 +231,9 @@ def spanning_vectors(presentation: Presentation, level: int, cutoff: int) -> lis
     ``wt(u)+wt(v)+2*level+1``), plus the translation rows for basis vectors
     of weight below the cutoff.
     """
-    vectors: list[FockVector] = []
-    pairs_bound = cutoff - 2 * level - 1
-    flat = _weighted_basis(presentation, max(pairs_bound, 0))
-    for wu, u in flat:
-        for wv, v in flat:
-            if wu + wv <= pairs_bound:
-                prod = circle_product(u, v, level)
-                if prod:
-                    vectors.append(prod)
+    vectors = _pair_rows(
+        presentation, cutoff - 2 * level - 1, lambda u, v: circle_product(u, v, level)
+    )
     if cutoff >= 1:
         for u in basis_vectors(presentation, cutoff - 1):
             row = translation_row(presentation, u)
@@ -263,15 +268,8 @@ def an_dims(presentation: Presentation, level: int, cutoff: int) -> DimensionTab
 
 def c2_dims(presentation: Presentation, cutoff: int) -> DimensionTable:
     """Graded dimensions of the weight-truncated quotient by span{u_{-2} v}."""
-    flat = _weighted_basis(presentation, max(cutoff - 1, 0))
-    vectors = []
-    for wu, u in flat:
-        for wv, v in flat:
-            if wu + wv < cutoff:
-                prod = mode_action(u, -2, v)
-                if prod:
-                    vectors.append(prod.terms)
-    _, pivots = rref(vectors, order=monomial_order)
+    vectors = _pair_rows(presentation, cutoff - 1, lambda u, v: mode_action(u, -2, v))
+    _, pivots = rref((vec.terms for vec in vectors), order=monomial_order)
     return _free_monomials(presentation, cutoff, pivots)
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,11 +7,14 @@ from pathlib import Path
 import pytest
 
 GOLDEN = Path(__file__).parent / "golden"
+# The CLI runs in a child interpreter, which imports the checkout's package.
+ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
 
 
 def run_cli(*args, expect=0, timeout=600):
     result = subprocess.run(
         [sys.executable, "-m", "zhu_forge.cli", *args],
+        env=ENV,
         capture_output=True,
         text=True,
         timeout=timeout,
@@ -421,12 +425,7 @@ def test_parse_and_reduce_reject_suite_flags(argv, tmp_path):
 
 
 def test_usage_error_exit_code():
-    result = subprocess.run(
-        [sys.executable, "-m", "zhu_forge.cli", "frobnicate"],
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 2
+    run_cli("frobnicate", expect=2)
 
 
 

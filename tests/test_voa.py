@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zhu_forge import (
     FockVector,
@@ -21,7 +23,7 @@ from zhu_forge import (
 from zhu_forge import voa
 from zhu_forge.combinatorics import binomial
 from zhu_forge.suites import presentation_checks
-from zhu_forge.voa import BracketTerm
+from zhu_forge.voa import BracketTerm, mode_sum
 
 HEIS = builtin_presentation("heisenberg")
 VIR = builtin_presentation("virasoro", Fraction(1, 2))
@@ -246,6 +248,41 @@ def test_mode_action_is_bilinear():
     assert mode_action(Fraction(2, 3) * x, 1, y) == Fraction(2, 3) * mode_action(x, 1, y)
 
 
+SCALARS = st.integers(-3, 3) | st.fractions(-2, 2, max_denominator=3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_mode_sum_is_the_mode_action_over_weight_parts(data):
+    # The kernel contract: for weight parts u_a, v_b and the pairs (k, c) of
+    # expansion(a, b), mode_sum is the sum of c * (u_a)_k v_b. Its own term
+    # loop is checked against the one in mode_action.
+    presentation = data.draw(st.sampled_from([HEIS, VIR]))
+    basis = basis_vectors(presentation, 3)
+
+    def mixed_vector():
+        pairs = st.tuples(st.sampled_from(basis), SCALARS)
+        terms = data.draw(st.lists(pairs, min_size=1, max_size=4))
+        return sum((c * v for v, c in terms), FockVector.zero(presentation))
+
+    u, v = mixed_vector(), mixed_vector()
+    tables: dict = {}
+
+    def expansion(a, b):
+        if (a, b) not in tables:
+            pairs = data.draw(st.dictionaries(st.integers(-3, 7), SCALARS, max_size=4))
+            tables[a, b] = tuple(pairs.items())
+        return tables[a, b]
+
+    got = FockVector._adopt(presentation, mode_sum(u, v, expansion))
+    want = FockVector.zero(presentation)
+    for a, u_a in u.weight_decomposition().items():
+        for b, v_b in v.weight_decomposition().items():
+            for k, c in expansion(a, b):
+                want = want + c * mode_action(u_a, k, v_b)
+    assert got == want
+
+
 # --- presentation validation and the axiom suite -------------------------------
 
 
@@ -278,6 +315,36 @@ def test_axiom_suite_catches_tampered_bracket():
     assert "virasoro_bracket" in failing
     witness = failing["virasoro_bracket"]
     assert witness["m"] + witness["n"] == 0  # only the central term was dropped
+
+
+def test_jacobi_sampled_catches_tampered_mode_table(monkeypatch):
+    # Corrupt the mode table of composite states at one index only. The
+    # sampled Jacobi identity must fail and name the first instance that
+    # reads a corrupted entry.
+    original = voa._mode_mono
+
+    def tampered(presentation, umono, n, vmono):
+        combo = original(presentation, umono, n, vmono)
+        if len(umono) >= 2 and n == 1 and combo:
+            (mono, coeff), *rest = combo
+            return ((mono, coeff + 1), *rest)
+        return combo
+
+    voa.clear_caches()
+    monkeypatch.setattr(voa, "_mode_mono", tampered)
+    try:
+        doc = axiom_suite(HEIS, 4, seed=0, jacobi_samples=40)
+    finally:
+        voa.clear_caches()
+    failing = {r.name: r.witness for r in doc.sorted_checks() if r.status == "fail"}
+    assert failing["jacobi_sampled"] == {
+        "u": "a[-1]a[-1]a[-1]vac",
+        "v": "a[-1]a[-1]a[-1]vac",
+        "m": -3,
+        "n": -1,
+        "l": 1,
+        "x": "a[-4]vac",
+    }
 
 
 def test_report_is_deterministic():
