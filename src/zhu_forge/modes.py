@@ -25,8 +25,11 @@ monomials of ``u`` and ``v`` the pairs ``(k, c)`` depend only on the two
 weights, so each is one call of the term-pair kernel ``voa.mode_sum``, which
 the Zhu products share and which reads the memoized mode-action table once
 per index ``k``; the pair rewrite sums its coefficients per ``k`` first.
-Two-letter words ``J_p(u) J_q(v)`` are built straight from pairs of terms
-(:func:`_add_two_letters`).
+The pair rewrite's coefficients are a memo table keyed by ``wt(u)``, ``s``
+and the depth (``_pair_coefficients``), and its head is tabulated per
+monomial pair (``_pair_head``), so :func:`reduce_word` forms each distinct
+rewrite once per process. Two-letter words ``J_p(u) J_q(v)`` are built
+straight from pairs of terms (:func:`_add_two_letters`).
 
 No relation between modes of ``u`` and modes of ``L(-1)u`` is applied to
 words automatically; identities are checked either per-word with identical
@@ -48,6 +51,7 @@ from .voa import (
     basis_vectors,
     format_element,
     format_monomial,
+    memo,
     mode_action,
     mode_sum,
     monomial_weight,
@@ -280,6 +284,10 @@ def pair_expansion(
     head:  ``sum_{j=0}^{depth} sum_i C(depth + wt(u), i) C(-depth-s-1, j)
     J_{t-s}(u_{-depth-s-1-j+i} v)``
 
+    For a basis monomial of ``u`` the coefficient of each ``u_k v`` depends
+    only on ``wt(u)``, ``s`` and ``depth``, so it is read from the memo table
+    ``_pair_coefficients``.
+
     The two tail families have right factors ``J_{k+t}(v)`` with
     ``k > depth`` and ``J_{depth+1+i}(u)`` with ``i >= 0``, so their words
     carry filtration witnesses at suffix degree at most ``-(depth+1+t)`` and
@@ -290,20 +298,42 @@ def pair_expansion(
     (guaranteed here).
     """
     _check_pair_hypothesis(s, depth)
-
-    def expansion(a: int, b: int):
-        per_k: dict[int, int] = {}
-        for j in range(depth + 1):
-            cj = binomial(-depth - s - 1, j)
-            for i in range(depth + a + 1):
-                k = -depth - s - 1 - j + i
-                per_k[k] = per_k.get(k, 0) + cj * binomial(depth + a, i)
-        return per_k.items()
-
-    acc = dict(_letters(mode_sum(u, v, expansion).items(), t - s))
+    acc = dict(_head_letters(s, t, depth, u, v))
     if right_bound is not None:
         _add_pair_tails(acc, s, t, depth, u, v, right_bound - t, right_bound - depth - 1)
     return UEAExpression._adopt(u.presentation, acc)
+
+
+@memo
+def _pair_coefficients(a: int, s: int, depth: int) -> tuple[tuple[int, int], ...]:
+    """The pairs ``(k, c)`` of the head of :func:`pair_expansion` for ``u``
+    of weight ``a``: ``c`` is the sum of ``C(depth + a, i) C(-depth-s-1, j)``
+    over the ``(i, j)`` with ``k = -depth-s-1-j+i``."""
+    per_k: dict[int, int] = {}
+    for j in range(depth + 1):
+        cj = binomial(-depth - s - 1, j)
+        for i in range(depth + a + 1):
+            k = -depth - s - 1 - j + i
+            per_k[k] = per_k.get(k, 0) + cj * binomial(depth + a, i)
+    return tuple(per_k.items())
+
+
+def _head_letters(s: int, t: int, depth: int, u: FockVector, v: FockVector):
+    """The one-letter words of the head of :func:`pair_expansion`."""
+    terms = mode_sum(u, v, lambda a, b: _pair_coefficients(a, s, depth))
+    return _letters(terms.items(), t - s)
+
+
+@memo
+def _pair_head(
+    presentation: Presentation, mono_a: Monomial, mono_b: Monomial, s: int, t: int, depth: int
+) -> tuple[tuple[Word, Fraction], ...]:
+    """The head of :func:`pair_expansion` on the basis monomials ``mono_a``
+    and ``mono_b``, as ``(word, coeff)`` pairs: one step of
+    :func:`reduce_word`."""
+    u = FockVector.from_monomial(presentation, mono_a)
+    v = FockVector.from_monomial(presentation, mono_b)
+    return tuple(_head_letters(s, t, depth, u, v))
 
 
 def _check_pair_hypothesis(s: int, depth: int) -> None:
@@ -427,7 +457,8 @@ def reduce_word(
     """Rewrite a degree-zero expression to a single zero-shift mode.
 
     Repeatedly replaces an adjacent pair ``J_p(A) J_q(B)`` (rightmost by
-    default) by the exact single-mode head of :func:`pair_expansion` with
+    default) by the exact single-mode head of :func:`pair_expansion`, read
+    from its table per monomial pair (``_pair_head``), with
     ``s = -p``, ``t = q`` and ``depth = max(L-1, L-1-q, p)``, where ``L`` is
     ``mod_level`` raised by the degree of the factors trailing the pair when
     that degree is positive (for the rightmost pair ``L == mod_level``).
@@ -487,11 +518,9 @@ def reduce_word(
             trailing_degree = -sum(shift for _, shift in word[position + 2 :])
             effective = mod_level + max(trailing_degree, 0)
             depth = max(effective - 1, effective - 1 - t, -s)
-            a = FockVector.from_monomial(presentation, mono_a)
-            b = FockVector.from_monomial(presentation, mono_b)
-            head = pair_expansion(s, t, depth, a, b, right_bound=None)
+            head = _pair_head(presentation, mono_a, mono_b, s, t, depth)
             prefix, suffix = word[:position], word[position + 2 :]
-            add_scaled(acc, ((prefix + w + suffix, c) for w, c in head.terms.items()), coeff)
+            add_scaled(acc, ((prefix + w + suffix, c) for w, c in head), coeff)
             trace.steps.append(
                 ReductionStep(
                     word=word,
@@ -499,7 +528,7 @@ def reduce_word(
                     s=s,
                     t=t,
                     depth=depth,
-                    produced_words=len(head.terms),
+                    produced_words=len(head),
                     discarded=(
                         DiscardRecord("right_tail", position, depth + 1 + t),
                         DiscardRecord("reordered_tail", position, depth + 1),

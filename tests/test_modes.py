@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ from zhu_forge import (
     word_degree,
     word_expression,
 )
-from zhu_forge import cli, enumerate_basis
+from zhu_forge import cli, enumerate_basis, voa
 from zhu_forge import modes as modes_module
 from zhu_forge.modes import UEAExpression
 from zhu_forge.voa import zero_mode
@@ -432,6 +433,39 @@ def test_pair_expansion_tail_shifts_are_deep():
             assert last_shift >= 3  # depth + 1
 
 
+def test_pair_tables_match_pair_expansion_and_the_double_sum():
+    # _pair_head is the exact head of pair_expansion on a monomial pair, and
+    # _pair_coefficients is the docstring's double sum over (i, j) grouped
+    # by k = -depth-s-1-j+i, with the binomials written out here.
+    def choose(n, j):
+        return math.prod(range(n - j + 1, n + 1)) // math.factorial(j)
+
+    def double_sum(a, s, depth):
+        per_k = {}
+        for j in range(depth + 1):
+            for i in range(depth + a + 1):
+                k = -depth - s - 1 - j + i
+                per_k[k] = per_k.get(k, 0) + choose(depth + a, i) * choose(-depth - s - 1, j)
+        return {k: c for k, c in per_k.items() if c}
+
+    grid = [(s, depth) for s in range(-3, 4) for depth in range(4) if depth + s >= 0]
+    for a in range(4):
+        for s, depth in grid:
+            table = modes_module._pair_coefficients(a, s, depth)
+            assert len({k for k, _ in table}) == len(table)
+            assert {k: c for k, c in table if c} == double_sum(a, s, depth), (a, s, depth)
+    for presentation in (HEIS, VIR, builtin_presentation("virasoro", Fraction(-22, 5))):
+        monos = [m for _, ms in enumerate_basis(presentation, 3) for m in ms]
+        for mono_a, mono_b in itertools.product(monos, repeat=2):
+            u = FockVector.from_monomial(presentation, mono_a)
+            v = FockVector.from_monomial(presentation, mono_b)
+            for s, depth in grid:
+                for t in range(-3, 4):
+                    head = modes_module._pair_head(presentation, mono_a, mono_b, s, t, depth)
+                    expected = pair_expansion(s, t, depth, u, v, right_bound=None)
+                    assert dict(head) == expected.terms, (mono_a, mono_b, s, t, depth)
+
+
 # --- filtration witnesses ------------------------------------------------------------
 
 
@@ -487,6 +521,61 @@ def test_reduce_handles_vacuum_arguments_exactly():
     for level in (0, 1, 2):
         got, _ = reduce_word(HEIS, [(A, 0), (vac, 0)], level + 1)
         assert got == star_product(A, vac, level)
+
+
+@st.composite
+def degree_zero_words(draw, presentation):
+    """Factors of a degree-zero word of 2-4 letters over basis monomials of
+    weight at most 3, vacuum included."""
+    pool = basis_vectors(presentation, 3)
+    length = draw(st.integers(2, 4))
+    shifts = [draw(st.integers(-3, 3)) for _ in range(length - 1)]
+    shifts.append(-sum(shifts))
+    return [(draw(st.sampled_from(pool)), shift) for shift in shifts]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.data(),
+    st.sampled_from((HEIS, VIR)),
+    st.sampled_from(("rightmost", "leftmost")),
+    st.integers(1, 3),
+)
+def test_reduction_does_not_depend_on_memo_state(data, presentation, variant, mod_level):
+    factors = data.draw(degree_zero_words(presentation))
+
+    def reduce():
+        result, trace = reduce_word(presentation, factors, mod_level, variant)
+        return result, trace.to_jsonable()
+
+    shared = reduce()  # the tables as earlier examples and tests left them
+    voa.clear_caches()
+    cold = reduce()
+    assert shared == cold == reduce()
+
+
+def test_tampered_mode_table_reaches_reduce_word_after_a_clear(monkeypatch):
+    # A warm pair-head table must be emptied by clear_caches, or a rewrite
+    # would keep reading heads formed from the old mode table.
+    u = mono(HEIS, (-1, "a"), (-1, "a"))
+    v = mono(HEIS, (-2, "a"))
+    warm, _ = reduce_word(HEIS, [(u, 0), (v, 0)], 1)
+    original = voa._mode_mono
+
+    def tampered(presentation, umono, n, vmono):
+        combo = original(presentation, umono, n, vmono)
+        if len(umono) >= 2 and combo:
+            (first, coeff), *rest = combo
+            return ((first, coeff + 1), *rest)
+        return combo
+
+    monkeypatch.setattr(voa, "_mode_mono", tampered)
+    voa.clear_caches()
+    try:
+        got, _ = reduce_word(HEIS, [(u, 0), (v, 0)], 1)
+    finally:
+        voa.clear_caches()
+    assert got != warm
 
 
 def test_trace_replay_reproduces_output():
