@@ -46,8 +46,7 @@ def parse_rational(text: str) -> Fraction:
     match = _RATIONAL_RE.match(text.strip())
     if match is None:
         raise ValueError(f"not a rational literal: {text!r}")
-    numerator = int(match.group(1))
-    denominator = int(match.group(2)) if match.group(2) else 1
+    denominator = int(match.group(2) or 1)
     if denominator == 0:
         raise ValueError(f"zero denominator in rational literal: {text!r}")
-    return Fraction(numerator, denominator)
+    return Fraction(int(match.group(1)), denominator)

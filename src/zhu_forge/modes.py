@@ -43,7 +43,7 @@ from fractions import Fraction
 
 from .combinatorics import binomial
 from .linalg import Combination, add_scaled
-from .report import CheckRecord, ReportDocument
+from .report import ReportDocument
 from .voa import (
     FockVector,
     Monomial,
@@ -618,7 +618,7 @@ def homomorphism_check(
 
     params = {"level": level, "weight_bound": weight_bound}
     doc = ReportDocument.for_suite("iso", presentation, **params)
-    doc.add(CheckRecord.from_failures("reduction_matches_star_product", params, failures_product))
-    doc.add(CheckRecord.from_failures("commutator_modulo_ideal", params, failures_commutator))
-    doc.add(CheckRecord.from_failures("action_on_kernel_subspace", params, failures_semantic))
+    doc.record("reduction_matches_star_product", params, failures_product)
+    doc.record("commutator_modulo_ideal", params, failures_commutator)
+    doc.record("action_on_kernel_subspace", params, failures_semantic)
     return doc

@@ -29,6 +29,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .combinatorics import parse_rational
 from .linalg import add_scaled
 from .modes import UEAExpression, word_expression
 from .voa import FockVector, Presentation, apply_generator_mode
@@ -114,13 +115,12 @@ def _maybe_rational(cursor: _Cursor) -> Fraction | None:
     if token[0] != "number":
         return None
     cursor.advance()
-    text = token[1].replace(" ", "")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise ParseError("zero denominator", token[2])
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    try:
+        return parse_rational(token[1])
+    except ValueError as exc:
+        if not str(exc).startswith("zero denominator"):
+            raise
+        raise ParseError("zero denominator", token[2]) from None
 
 
 def _parse_term(cursor: _Cursor, presentation: Presentation) -> FockVector:

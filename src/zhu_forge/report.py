@@ -4,7 +4,8 @@ Reports serialize to canonical JSON: keys sorted, compact separators and
 rationals rendered as ``p/q`` strings. Records hold no volatile fields, so
 the same run gives the same bytes; golden comparison and the determinism
 checks operate on them. Every suite over a presentation starts its report
-with :meth:`ReportDocument.for_suite`, the one place its header is built.
+with :meth:`ReportDocument.for_suite`, the one place its header is built,
+and records each check's verdict with :meth:`ReportDocument.record`.
 """
 
 from __future__ import annotations
@@ -45,13 +46,6 @@ class CheckRecord:
     status: str = "pass"  # pass | fail | skipped
     witness: Any = None
 
-    @classmethod
-    def from_failures(cls, name: str, params: dict[str, Any], failures: list) -> "CheckRecord":
-        """A passing record, or a failing one witnessed by its first failure."""
-        if failures:
-            return cls(name=name, params=params, status="fail", witness=failures[0])
-        return cls(name=name, params=params)
-
     def to_jsonable(self) -> dict[str, Any]:
         return {
             "name": self.name,
@@ -83,6 +77,11 @@ class ReportDocument:
 
     def add(self, record: CheckRecord) -> None:
         self.checks.append(record)
+
+    def record(self, name: str, params: dict[str, Any], failures: list) -> None:
+        """Append a passing record, or a failing one witnessed by its first failure."""
+        status, witness = ("fail", failures[0]) if failures else ("pass", None)
+        self.add(CheckRecord(name, params, status, witness))
 
     @property
     def passed(self) -> bool:

@@ -7,11 +7,13 @@ witnesses. The ``iso`` suite, ``modes.homomorphism_check``, is the one
 suite outside this module.
 
 Each suite function returns one :class:`ReportDocument` whose header comes
-from :meth:`ReportDocument.for_suite`. The command line picks the suite for
-each subcommand itself (``cli.SUITES``), and the acceptance tests call these
-functions directly. A suite reads values, never another suite's report, so
-one suite call builds exactly one report; a record that two suites share
-comes from one function (:func:`ideal_containment`). A check evaluates the
+from :meth:`ReportDocument.for_suite`, and records each verdict with
+:meth:`ReportDocument.record` from the check's list of failures. The command
+line picks the suite for each subcommand itself (``cli.SUITES``), and the
+acceptance tests call these functions directly. A suite reads values, never
+another suite's report, so one suite call builds exactly one report; a
+check that two suites share is one function returning its failures
+(:func:`ideal_containment`). A check evaluates the
 library's own expansion of an identity and does not rederive it: the
 sampled Jacobi check applies the two sides that ``modes`` writes. Zhu
 contexts come from the memoized :func:`zhu.build_zhu_context`, so each
@@ -120,11 +122,8 @@ def zhu_structure_suite(presentation: Presentation, level: int, cutoff: int) -> 
     ctx = build_zhu_context(presentation, level, cutoff)
     table = StarTable(ctx)
     basis, weights, product = table.basis, table.weights, table.reduced_product
-    doc = ReportDocument.for_suite("zhu", presentation, level=level, cutoff=cutoff)
-
-    def add(name: str, failures: list, extra: dict | None = None) -> None:
-        params = {"level": level, "cutoff": cutoff, **(extra or {})}
-        doc.add(CheckRecord.from_failures(name, params, failures))
+    params = {"level": level, "cutoff": cutoff}
+    doc = ReportDocument.for_suite("zhu", presentation, **params)
 
     failures = []
     checked = 0
@@ -137,7 +136,7 @@ def zhu_structure_suite(presentation: Presentation, level: int, cutoff: int) -> 
             checked += 1
             if product(v, vac) != reduced_v:
                 failures.append({"side": "right", "v": format_element(v)})
-    add("unit_class", failures, {"checked": checked})
+    doc.record("unit_class", {**params, "checked": checked}, failures)
 
     failures = []
     checked = 0
@@ -152,7 +151,7 @@ def zhu_structure_suite(presentation: Presentation, level: int, cutoff: int) -> 
                     checked += 1
                     if product(x, y):
                         failures.append({"side": side, "u": format_element(u)})
-    add("two_sided_ideal", failures, {"checked": checked})
+    doc.record("two_sided_ideal", {**params, "checked": checked}, failures)
 
     # By the rule applied twice (uv)w lies at least as high as u(vw): it decides.
     failures = []
@@ -163,13 +162,13 @@ def zhu_structure_suite(presentation: Presentation, level: int, cutoff: int) -> 
                 checked += 1
                 if product(uv, w) != product(u, vw):
                     failures.append(dict(zip("uvw", map(format_element, (u, v, w)))))
-    add("associativity", failures, {"checked": checked})
+    doc.record("associativity", {**params, "checked": checked}, failures)
 
     failures = []
     for u, a in zip(basis, weights):
         if a + 1 <= cutoff and ctx.reduce(translation_row(presentation, u)):
             failures.append({"u": format_element(u)})
-    add("translation_rows_vanish", failures)
+    doc.record("translation_rows_vanish", params, failures)
 
     if level == 0:
         omega = presentation.conformal_vector()
@@ -177,18 +176,19 @@ def zhu_structure_suite(presentation: Presentation, level: int, cutoff: int) -> 
         for x, b in zip(basis, weights):
             if b + 2 <= cutoff and product(omega, x) != product(x, omega):
                 failures.append({"x": format_element(x)})
-        add("conformal_class_central", failures)
+        doc.record("conformal_class_central", params, failures)
 
     if level >= 1:
-        doc.add(ideal_containment(presentation, level, cutoff))
+        doc.record("ideal_containment", params, ideal_containment(presentation, level, cutoff))
     return doc
 
 
-def ideal_containment(presentation: Presentation, level: int, cutoff: int) -> CheckRecord:
+def ideal_containment(presentation: Presentation, level: int, cutoff: int) -> list[dict]:
     """Truncated containment of the level ideal in the one below it.
 
     Every spanning vector of the level-``level`` context must reduce to zero
-    in the level-``level-1`` context at the same cutoff.
+    in the level-``level-1`` context at the same cutoff. Returns one
+    ``{"vector", "residue"}`` failure per spanning vector that does not.
     """
     if level < 1:
         raise ValueError("needs level >= 1")
@@ -199,14 +199,14 @@ def ideal_containment(presentation: Presentation, level: int, cutoff: int) -> Ch
         residue = lower.reduce(row)
         if residue:
             failures.append({"vector": format_element(row), "residue": format_element(residue)})
-    params = {"level": level, "cutoff": cutoff}
-    return CheckRecord.from_failures("ideal_containment", params, failures)
+    return failures
 
 
 def inverse_system_check(presentation: Presentation, level: int, cutoff: int) -> ReportDocument:
-    """The :func:`ideal_containment` record as a suite of its own."""
-    doc = ReportDocument.for_suite("inverse_system", presentation, level=level, cutoff=cutoff)
-    doc.add(ideal_containment(presentation, level, cutoff))
+    """The :func:`ideal_containment` check as a suite of its own."""
+    params = {"level": level, "cutoff": cutoff}
+    doc = ReportDocument.for_suite("inverse_system", presentation, **params)
+    doc.record("ideal_containment", params, ideal_containment(presentation, level, cutoff))
     return doc
 
 
@@ -240,7 +240,7 @@ def omega_suite(presentation: Presentation, level: int, cutoff: int) -> ReportDo
         quantification=f"basis states and shifts truncated at weight {cutoff}",
     )
     doc.add(CheckRecord("kernel_dimension", params, witness={"dimension": len(vectors)}))
-    doc.add(CheckRecord.from_failures("zero_modes_preserve_subspace", params, leaving))
+    doc.record("zero_modes_preserve_subspace", params, leaving)
     # Informational: equality with the low-weight sum is expected for simple
     # modules only, so a mismatch is reported, not failed.
     doc.add(
@@ -326,11 +326,7 @@ def appendix_suite(
                 residual = reordering_residual(s, t, depth, u, u, shift_bound)
                 if residual:
                     failures.append({"s": s, "t": t, "N": depth, "words": len(residual.terms)})
-    doc.add(
-        CheckRecord.from_failures(
-            "reordering_residual_grid", {"tuples": grid, "shift_bound": shift_bound}, failures
-        )
-    )
+    doc.record("reordering_residual_grid", {"tuples": grid, "shift_bound": shift_bound}, failures)
 
     rng = random.Random(seed)
     pool = basis_vectors(presentation, 3)
@@ -358,10 +354,8 @@ def appendix_suite(
                     "x": format_element(x),
                 }
             )
-    doc.add(
-        CheckRecord.from_failures(
-            "pair_rewrite_operator_identity", {"samples": operator_samples, "seed": seed}, failures
-        )
+    doc.record(
+        "pair_rewrite_operator_identity", {"samples": operator_samples, "seed": seed}, failures
     )
     return doc
 
@@ -390,7 +384,7 @@ def deep_tail_witness_suite(
                 if not all(find_witness(word, -(level + 1)) for word in expansion.terms):
                     failures.append({"u": format_element(u), "v": format_element(v)})
         params = {"level": level, "weight_bound": weight_bound}
-        doc.add(CheckRecord.from_failures("circle_expansion_witnessed", params, failures))
+        doc.record("circle_expansion_witnessed", params, failures)
     return doc
 
 
@@ -399,50 +393,47 @@ PAIR_WEIGHT = 4
 INDEX_BOUND = 3
 
 
-def presentation_checks(presentation: Presentation) -> list[tuple[str, bool, object]]:
+def presentation_checks(presentation: Presentation) -> list[dict]:
     """Structural invariants of the presentation data itself.
 
-    Returns (name, passed, witness) triples: bracket antisymmetry on sampled
-    index pairs, the conformal vector having weight 2, and the central
-    charge recovered from ``omega_3 omega = (c/2) vac``.
+    Returns one ``{"check": name, "witness": ...}`` per failed invariant, in
+    this order: bracket antisymmetry on sampled index pairs (witnessed by
+    the first failing pair), the conformal vector having weight 2 (by the
+    vector) and the central charge recovered from ``omega_3 omega = (c/2)
+    vac`` (by ``omega_3 omega``).
     """
-    results: list[tuple[str, bool, object]] = []
 
-    ok = True
-    witness: object = None
-    def bracket_value(first: str, second: str, mi: int, ni: int) -> dict[object, Fraction]:
+    def bracket_sum(g: str, h: str, m: int, n: int) -> dict[object, Fraction]:
+        """``[g(m), h(n)] + [h(n), g(m)]``, by target and use of the charge."""
         out: dict[object, Fraction] = {}
-        for term in presentation.brackets[first, second]:
-            if term.target is None and mi + ni != term.kronecker:
-                continue
-            coeff = _eval_poly(term.poly, mi, ni)
-            if coeff:
+        for first, second, mi, ni in ((g, h, m, n), (h, g, n, m)):
+            for term in presentation.brackets[first, second]:
+                if term.target is None and mi + ni != term.kronecker:
+                    continue
                 key = (term.target, term.uses_charge)
-                out[key] = out.get(key, 0) + coeff
+                out[key] = out.get(key, 0) + _eval_poly(term.poly, mi, ni)
         return out
 
-    for g in presentation.generators:
-        for h in presentation.generators:
-            for m in range(-4, 5):
-                for n in range(-4, 5):
-                    total = bracket_value(g, h, m, n)
-                    for key, coeff in bracket_value(h, g, n, m).items():
-                        total[key] = total.get(key, 0) + coeff
-                    if any(total.values()) and ok:
-                        ok = False
-                        witness = {"g": g, "h": h, "m": m, "n": n}
-    results.append(("bracket_antisymmetry", ok, witness))
+    failures = []
+    asymmetric = [
+        {"g": g, "h": h, "m": m, "n": n}
+        for g in presentation.generators
+        for h in presentation.generators
+        for m in range(-4, 5)
+        for n in range(-4, 5)
+        if any(bracket_sum(g, h, m, n).values())
+    ]
+    if asymmetric:
+        failures.append({"check": "bracket_antisymmetry", "witness": asymmetric[0]})
 
     omega = presentation.conformal_vector()
-    homogeneous = omega.is_homogeneous() and omega.max_weight() == 2
-    results.append(("conformal_vector_weight", homogeneous, None if homogeneous else format_element(omega)))
+    if not (omega.is_homogeneous() and omega.max_weight() == 2):
+        failures.append({"check": "conformal_vector_weight", "witness": format_element(omega)})
 
     got = mode_action(omega, 3, omega)
-    want = FockVector.from_monomial(presentation, (), presentation.central_charge / 2)
-    results.append(
-        ("central_charge_recovered", got == want, None if got == want else format_element(got))
-    )
-    return results
+    if got != FockVector.from_monomial(presentation, (), presentation.central_charge / 2):
+        failures.append({"check": "central_charge_recovered", "witness": format_element(got)})
+    return failures
 
 
 def axiom_suite(
@@ -464,16 +455,9 @@ def axiom_suite(
     """
     omega = presentation.conformal_vector()
     basis = basis_vectors(presentation, max_weight)
-    doc = ReportDocument.for_suite("axioms", presentation, cutoff=max_weight, seed=seed)
-
-    def record(name: str, params: dict, failures: list) -> None:
-        doc.add(CheckRecord.from_failures(name, params, failures))
-
-    failures = []
-    for name, ok, witness in presentation_checks(presentation):
-        if not ok:
-            failures.append({"check": name, "witness": witness})
-    record("presentation_invariants", {"cutoff": max_weight}, failures)
+    params = {"cutoff": max_weight}
+    doc = ReportDocument.for_suite("axioms", presentation, **params, seed=seed)
+    doc.record("presentation_invariants", params, presentation_checks(presentation))
 
     # Vacuum: v_i vac = delta_{i,-1} v for i >= -1.
     failures = []
@@ -485,7 +469,7 @@ def axiom_suite(
             want = v if i == -1 else FockVector.zero(presentation)
             if got != want:
                 failures.append({"v": format_element(v), "i": i, "got": format_element(got)})
-    record("vacuum_modes", {"cutoff": max_weight}, failures)
+    doc.record("vacuum_modes", params, failures)
 
     # Grading: omega_1 acts as the weight on homogeneous vectors.
     failures = []
@@ -494,7 +478,7 @@ def axiom_suite(
         want = v.max_weight() * v
         if got != want:
             failures.append({"v": format_element(v), "got": format_element(got)})
-    record("l0_grading", {"cutoff": max_weight}, failures)
+    doc.record("l0_grading", params, failures)
 
     # Translation: (L(-1)u)_n = -n u_{n-1} as operators on the window.
     failures = []
@@ -509,7 +493,7 @@ def axiom_suite(
                     failures.append(
                         {"u": format_element(u), "n": n, "x": format_element(x)}
                     )
-    record("translation_covariance", {"cutoff": max_weight, "bound": INDEX_BOUND}, failures)
+    doc.record("translation_covariance", {**params, "bound": INDEX_BOUND}, failures)
 
     # Virasoro bracket with central term, via omega modes.
     failures = []
@@ -524,7 +508,7 @@ def axiom_suite(
                     want = want + Fraction(m**3 - m, 12) * c * x
                 if got != want:
                     failures.append({"m": m, "n": n, "x": format_element(x)})
-    record("virasoro_bracket", {"cutoff": max_weight, "bound": INDEX_BOUND}, failures)
+    doc.record("virasoro_bracket", {**params, "bound": INDEX_BOUND}, failures)
 
     # Jacobi identity on sampled instances.
     failures = []
@@ -555,9 +539,5 @@ def axiom_suite(
                     "x": format_element(x),
                 }
             )
-    record(
-        "jacobi_sampled",
-        {"cutoff": max_weight, "samples": jacobi_samples, "seed": seed},
-        failures,
-    )
+    doc.record("jacobi_sampled", {**params, "samples": jacobi_samples, "seed": seed}, failures)
     return doc

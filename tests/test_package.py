@@ -1,3 +1,5 @@
+import types
+
 import zhu_forge
 
 
@@ -9,3 +11,13 @@ def test_public_names_resolve():
     namespace: dict = {}
     exec("from zhu_forge import *", namespace)
     assert set(zhu_forge.__all__) <= set(namespace)
+
+
+def test_all_lists_every_public_name():
+    # An exported import missing from __all__ is caught here.
+    public = {
+        name
+        for name, value in vars(zhu_forge).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(zhu_forge.__all__) == public | {"__version__"}

@@ -10,7 +10,7 @@ import pytest
 import zhu_forge
 from zhu_forge import FockVector, builtin_presentation, cli, modes, voa, zhu
 from zhu_forge.linalg import Combination
-from zhu_forge.report import CheckRecord, ReportDocument
+from zhu_forge.report import ReportDocument
 from zhu_forge.suites import (
     StarTable,
     appendix_suite,
@@ -301,8 +301,14 @@ def test_appendix_suite_draws_s_with_a_valid_depth():
         appendix_suite(HEIS, s_range=(0, 0), depth_range=(-3, -1))
 
 
-def test_check_record_from_failures():
-    passed = CheckRecord.from_failures("c", {"k": 1}, [])
-    assert (passed.status, passed.witness, passed.params) == ("pass", None, {"k": 1})
-    failed = CheckRecord.from_failures("c", {}, [{"x": 1}, {"x": 2}])
-    assert (failed.status, failed.witness) == ("fail", {"x": 1})
+def test_report_document_record():
+    doc = ReportDocument()
+    doc.record("c", {"k": 1}, [])
+    doc.record("b", {}, [{"x": 1}, {"x": 2}])
+    doc.record("a", {"k": 2}, [])
+    passed, failed, last = doc.checks
+    assert (passed.name, passed.status, passed.witness, passed.params) == ("c", "pass", None, {"k": 1})
+    assert (failed.name, failed.status, failed.witness) == ("b", "fail", {"x": 1})
+    assert last.name == "a"
+    assert doc.summary() == {"pass": 2, "fail": 1, "skipped": 0}
+    assert not doc.passed

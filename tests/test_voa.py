@@ -288,7 +288,32 @@ def test_mode_sum_is_the_mode_action_over_weight_parts(data):
 
 def test_presentation_invariants_pass():
     for presentation in (HEIS, VIR, builtin_presentation("virasoro", -2)):
-        assert all(ok for _, ok, _ in presentation_checks(presentation))
+        assert presentation_checks(presentation) == []
+
+
+def test_presentation_invariants_witness_the_first_failure():
+    # [a(m), a(n)] = m^2 delta_{m+n,0} is not antisymmetric, a(-1)vac has
+    # weight 1 and c = 5 is not what omega_3 omega gives: all three fail.
+    bad = voa.Presentation(
+        name="bad",
+        generators={"a": 1},
+        brackets={("a", "a"): (BracketTerm(poly=(((2, 0), 1),), target=None),)},
+        central_charge=Fraction(5),
+        conformal_recipe=((((-1, "a"),), Fraction(1)),),
+        vacuum_thresholds={"a": 0},
+    )
+    doc = axiom_suite(bad, 3, jacobi_samples=5)
+    (record,) = [r for r in doc.sorted_checks() if r.name == "presentation_invariants"]
+    assert record.status == "fail"
+    assert record.witness == {
+        "check": "bracket_antisymmetry",
+        "witness": {"g": "a", "h": "a", "m": -4, "n": 4},
+    }
+    assert presentation_checks(bad) == [
+        record.witness,
+        {"check": "conformal_vector_weight", "witness": "a[-1]vac"},
+        {"check": "central_charge_recovered", "witness": "0 vac"},
+    ]
 
 
 def test_builtin_rejects_unknown_name():
