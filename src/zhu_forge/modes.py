@@ -26,10 +26,11 @@ weights, so each is one call of the term-pair kernel ``voa.mode_sum``, which
 the Zhu products share and which reads the memoized mode-action table once
 per index ``k``; the pair rewrite sums its coefficients per ``k`` first.
 The pair rewrite's coefficients are a memo table keyed by ``wt(u)``, ``s``
-and the depth (``_pair_coefficients``), and its head is tabulated per
-monomial pair (``_pair_head``), so :func:`reduce_word` forms each distinct
-rewrite once per process. Two-letter words ``J_p(u) J_q(v)`` are built
-straight from pairs of terms (:func:`_add_two_letters`).
+and the depth (``_pair_coefficients``). Its head is the mode ``J_{t-s}`` of
+a vector whose terms are tabulated per monomial pair, ``s`` and depth, not
+``t`` (``_pair_head``), so :func:`reduce_word` forms each distinct head once
+per process. Two-letter words ``J_p(u) J_q(v)`` are built straight from
+pairs of terms (:func:`_add_two_letters`).
 
 No relation between modes of ``u`` and modes of ``L(-1)u`` is applied to
 words automatically; identities are checked either per-word with identical
@@ -38,8 +39,9 @@ arguments or semantically through :func:`evaluate_expression`.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .combinatorics import binomial
 from .linalg import Combination, add_scaled
@@ -286,7 +288,8 @@ def pair_expansion(
 
     For a basis monomial of ``u`` the coefficient of each ``u_k v`` depends
     only on ``wt(u)``, ``s`` and ``depth``, so it is read from the memo table
-    ``_pair_coefficients``.
+    ``_pair_coefficients``; the head is ``J_{t-s}`` of that sum, the vector
+    that ``_pair_head`` tabulates for basis monomials.
 
     The two tail families have right factors ``J_{k+t}(v)`` with
     ``k > depth`` and ``J_{depth+1+i}(u)`` with ``i >= 0``, so their words
@@ -298,7 +301,8 @@ def pair_expansion(
     (guaranteed here).
     """
     _check_pair_hypothesis(s, depth)
-    acc = dict(_head_letters(s, t, depth, u, v))
+    terms = mode_sum(u, v, lambda a, b: _pair_coefficients(a, s, depth))
+    acc = dict(_letters(terms.items(), t - s))
     if right_bound is not None:
         _add_pair_tails(acc, s, t, depth, u, v, right_bound - t, right_bound - depth - 1)
     return UEAExpression._adopt(u.presentation, acc)
@@ -318,22 +322,16 @@ def _pair_coefficients(a: int, s: int, depth: int) -> tuple[tuple[int, int], ...
     return tuple(per_k.items())
 
 
-def _head_letters(s: int, t: int, depth: int, u: FockVector, v: FockVector):
-    """The one-letter words of the head of :func:`pair_expansion`."""
-    terms = mode_sum(u, v, lambda a, b: _pair_coefficients(a, s, depth))
-    return _letters(terms.items(), t - s)
-
-
 @memo
 def _pair_head(
-    presentation: Presentation, mono_a: Monomial, mono_b: Monomial, s: int, t: int, depth: int
-) -> tuple[tuple[Word, Fraction], ...]:
-    """The head of :func:`pair_expansion` on the basis monomials ``mono_a``
-    and ``mono_b``, as ``(word, coeff)`` pairs: one step of
-    :func:`reduce_word`."""
+    presentation: Presentation, mono_a: Monomial, mono_b: Monomial, s: int, depth: int
+) -> tuple[tuple[Monomial, Fraction], ...]:
+    """The ``(monomial, coeff)`` terms of the vector whose mode ``J_{t-s}``
+    is the head of :func:`pair_expansion` on the basis monomials ``mono_a``
+    and ``mono_b``, for every ``t``: one step of :func:`reduce_word`."""
     u = FockVector.from_monomial(presentation, mono_a)
     v = FockVector.from_monomial(presentation, mono_b)
-    return tuple(_head_letters(s, t, depth, u, v))
+    return tuple(mode_sum(u, v, lambda a, b: _pair_coefficients(a, s, depth)).items())
 
 
 def _check_pair_hypothesis(s: int, depth: int) -> None:
@@ -393,15 +391,10 @@ class FiltrationWitness:
 
 
 def find_witness(word: Word, level: int) -> FiltrationWitness | None:
-    """Best suffix witness with degree at most ``level`` (``level <= 0``)."""
-    best: FiltrationWitness | None = None
-    for position in range(len(word) + 1):
-        degree = -sum(shift for _, shift in word[position:])
-        if degree <= level:
-            witness = FiltrationWitness(word, position, degree)
-            if best is None or witness.suffix_degree < best.suffix_degree:
-                best = witness
-    return best
+    """The suffix of least degree, at its first position, as a witness if
+    that degree is at most ``level`` (``level <= 0``), else ``None``."""
+    degree, position = min((word_degree(word[p:]), p) for p in range(len(word) + 1))
+    return FiltrationWitness(word, position, degree) if degree <= level else None
 
 
 # ---------------------------------------------------------------------------
@@ -409,25 +402,30 @@ def find_witness(word: Word, level: int) -> FiltrationWitness | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiscardRecord:
-    family: str  # "right_tail" or "reordered_tail"
-    position: int
-    min_suffix_shift: int  # every discarded word's right factor shift is >= this
+class ReductionStep(NamedTuple):
+    """One pair rewrite of :func:`reduce_word`; :meth:`to_jsonable` derives
+    ``s``, ``t`` and the discarded tail families from these four values."""
 
-
-@dataclass(frozen=True)
-class ReductionStep:
     word: Word
     position: int
-    s: int
-    t: int
     depth: int
     produced_words: int
-    discarded: tuple[DiscardRecord, ...]
 
     def to_jsonable(self) -> dict:
-        return {**asdict(self), "word": format_word(self.word)}
+        word, position, depth, produced_words = self
+        s, t = -word[position][1], word[position + 1][1]
+        return {
+            "word": format_word(word),
+            "position": position,
+            "s": s,
+            "t": t,
+            "depth": depth,
+            "produced_words": produced_words,
+            "discarded": (
+                {"family": "right_tail", "position": position, "min_suffix_shift": depth + 1 + t},
+                {"family": "reordered_tail", "position": position, "min_suffix_shift": depth + 1},
+            ),
+        }
 
 
 @dataclass
@@ -457,8 +455,9 @@ def reduce_word(
     """Rewrite a degree-zero expression to a single zero-shift mode.
 
     Repeatedly replaces an adjacent pair ``J_p(A) J_q(B)`` (rightmost by
-    default) by the exact single-mode head of :func:`pair_expansion`, read
-    from its table per monomial pair (``_pair_head``), with
+    default) by the exact single-mode head of :func:`pair_expansion`: the
+    mode ``J_{t-s}`` of the vector read from its table per monomial pair,
+    ``s`` and depth (``_pair_head``), with
     ``s = -p``, ``t = q`` and ``depth = max(L-1, L-1-q, p)``, where ``L`` is
     ``mod_level`` raised by the degree of the factors trailing the pair when
     that degree is positive (for the rightmost pair ``L == mod_level``).
@@ -511,30 +510,17 @@ def reduce_word(
             position = _PAIR_POSITION[variant](word)
             (mono_a, p), (mono_b, q) = word[position], word[position + 1]
             s, t = -p, q
+            prefix, suffix = word[:position], word[position + 2 :]
             # A discarded tail's witness suffix continues through the factors
             # after the pair, so their degree (when positive) must be absorbed
             # into the depth for the guarantee to survive. The rightmost pair
             # has an empty suffix and reduces to the plain rule.
-            trailing_degree = -sum(shift for _, shift in word[position + 2 :])
-            effective = mod_level + max(trailing_degree, 0)
+            effective = mod_level + max(word_degree(suffix), 0)
             depth = max(effective - 1, effective - 1 - t, -s)
-            head = _pair_head(presentation, mono_a, mono_b, s, t, depth)
-            prefix, suffix = word[:position], word[position + 2 :]
-            add_scaled(acc, ((prefix + w + suffix, c) for w, c in head), coeff)
-            trace.steps.append(
-                ReductionStep(
-                    word=word,
-                    position=position,
-                    s=s,
-                    t=t,
-                    depth=depth,
-                    produced_words=len(head),
-                    discarded=(
-                        DiscardRecord("right_tail", position, depth + 1 + t),
-                        DiscardRecord("reordered_tail", position, depth + 1),
-                    ),
-                )
-            )
+            head = _pair_head(presentation, mono_a, mono_b, s, depth)
+            produced = [(prefix + w + suffix, c) for w, c in _letters(head, t - s)]
+            add_scaled(acc, produced, coeff)
+            trace.steps.append(ReductionStep(word, position, depth, len(produced)))
         current = UEAExpression._adopt(presentation, acc)
 
     result: dict[Monomial, Fraction] = {}
@@ -557,7 +543,7 @@ def replay_trace(
 ) -> FockVector:
     """Re-run a reduction and check it follows the recorded steps exactly."""
     result, fresh = reduce_word(presentation, factors, trace.mod_level, trace.variant)
-    if [s.to_jsonable() for s in fresh.steps] != [s.to_jsonable() for s in trace.steps]:
+    if fresh.steps != trace.steps:
         raise ValueError("trace does not match a deterministic replay")
     return result
 

@@ -107,7 +107,10 @@ def _parse_signed_int(cursor: _Cursor) -> int:
     token = cursor.expect("number", "an integer")
     if "/" in token[1]:
         raise ParseError("expected an integer, not a fraction", token[2])
-    return sign * int(token[1])
+    try:
+        return sign * int(token[1])
+    except ValueError:  # past the interpreter's limit on integer digits
+        raise ParseError("integer literal too long", token[2]) from None
 
 
 def _maybe_rational(cursor: _Cursor) -> Fraction | None:
@@ -117,10 +120,10 @@ def _maybe_rational(cursor: _Cursor) -> Fraction | None:
     cursor.advance()
     try:
         return parse_rational(token[1])
-    except ValueError as exc:
-        if not str(exc).startswith("zero denominator"):
-            raise
-        raise ParseError("zero denominator", token[2]) from None
+    except ValueError as exc:  # parse_rational reads the denominator first
+        zero = str(exc).startswith("zero denominator")
+        message = "zero denominator" if zero else "integer literal too long"
+        raise ParseError(message, token[2]) from None
 
 
 def _parse_term(cursor: _Cursor, presentation: Presentation) -> FockVector:

@@ -508,3 +508,22 @@ def test_over_deep_expression_exits_2(argv):
     result = run_cli(*argv, expect=2)
     assert result.stderr.startswith("error:")
     assert "Traceback" not in result.stderr
+
+
+DIGITS = "1" * 4400  # past the interpreter's limit on integer digits
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parse", "--expr", f"{DIGITS} vac"],
+        ["parse", "--expr", f"a[-{DIGITS}]vac"],
+        ["parse", "--uea", "--expr", f"J[{DIGITS}](vac)"],
+        ["reduce", "--mod-level", "1", "--expr", f"J[0]({DIGITS} vac)"],
+    ],
+    ids=["parse-coefficient", "parse-mode-index", "parse-uea-shift", "reduce-coefficient"],
+)
+def test_over_long_integer_literal_exits_2(argv):
+    result = run_cli(*argv, expect=2)
+    assert result.stderr.startswith("error: integer literal too long (at column")
+    assert "Traceback" not in result.stderr

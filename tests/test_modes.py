@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -23,6 +24,7 @@ from zhu_forge import (
     mode_symbol,
     omega_subspace,
     pair_expansion,
+    parse_uea,
     reduce_word,
     reordering_residual,
     replay_trace,
@@ -86,8 +88,6 @@ def test_word_degree_bookkeeping():
 
 
 def test_format_word_roundtrips_through_parser():
-    from zhu_forge import parse_uea
-
     expr = word_expression(HEIS, [(A, -2), (A, 2)])
     ((word, coeff),) = expr.sorted_terms()
     again = parse_uea(format_word(word), HEIS)
@@ -434,7 +434,8 @@ def test_pair_expansion_tail_shifts_are_deep():
 
 
 def test_pair_tables_match_pair_expansion_and_the_double_sum():
-    # _pair_head is the exact head of pair_expansion on a monomial pair, and
+    # _pair_head is the vector whose mode J_{t-s} is the exact head of
+    # pair_expansion on a monomial pair, for every t, and
     # _pair_coefficients is the docstring's double sum over (i, j) grouped
     # by k = -depth-s-1-j+i, with the binomials written out here.
     def choose(n, j):
@@ -460,10 +461,12 @@ def test_pair_tables_match_pair_expansion_and_the_double_sum():
             u = FockVector.from_monomial(presentation, mono_a)
             v = FockVector.from_monomial(presentation, mono_b)
             for s, depth in grid:
+                head = modes_module._pair_head(presentation, mono_a, mono_b, s, depth)
                 for t in range(-3, 4):
-                    head = modes_module._pair_head(presentation, mono_a, mono_b, s, t, depth)
+                    # J_0(vac) is the empty word; other vacuum modes vanish.
+                    words = {((m, t - s),) if m else (): c for m, c in head if m or t == s}
                     expected = pair_expansion(s, t, depth, u, v, right_bound=None)
-                    assert dict(head) == expected.terms, (mono_a, mono_b, s, t, depth)
+                    assert words == expected.terms, (mono_a, mono_b, s, t, depth)
 
 
 # --- filtration witnesses ------------------------------------------------------------
@@ -478,6 +481,14 @@ def test_find_witness_on_singleton():
 def test_find_witness_fails_on_plain_zero_mode():
     (word,) = mode_symbol(A, 0).terms
     assert find_witness(word, -1) is None
+
+
+def test_find_witness_takes_the_first_least_suffix():
+    # Suffix degrees 0, -1, 0, -1, 0: the least is -1, first at position 1.
+    (word,) = parse_uea("J[-1](a[-1]vac)J[1](a[-1]vac)" * 2, HEIS).terms
+    witness = find_witness(word, -1)
+    assert (witness.word, witness.position, witness.suffix_degree) == (word, 1, -1)
+    assert find_witness(word, -2) is None
 
 
 # --- word reduction -------------------------------------------------------------------
@@ -585,13 +596,24 @@ def test_trace_replay_reproduces_output():
     assert all(step.depth + 1 >= trace.mod_level for step in trace.steps)
 
 
+def test_trace_replay_rejects_an_altered_step():
+    factors = [(A, 2), (A, -2), (A, 1), (A, -1)]
+    _, trace = reduce_word(HEIS, factors, 2)
+    for name in ("depth", "produced_words"):
+        steps = list(trace.steps)
+        steps[0] = steps[0]._replace(**{name: getattr(steps[0], name) + 1})
+        with pytest.raises(ValueError, match="deterministic replay"):
+            replay_trace(HEIS, factors, dataclasses.replace(trace, steps=steps))
+
+
 def test_trace_records_discard_depths():
+    # depth = max(L-1, L-1-t, -s) = 3 at mod level L = 3 with s = t = -1.
     _, trace = reduce_word(HEIS, [(A, 1), (A, -1)], 3)
     (step,) = trace.steps
-    assert step.s == -1 and step.t == -1
-    families = {d.family: d.min_suffix_shift for d in step.discarded}
-    assert families["reordered_tail"] >= 3
-    assert families["right_tail"] >= 3
+    record = step.to_jsonable()
+    assert (record["s"], record["t"], record["depth"]) == (-1, -1, 3)
+    families = {d["family"]: (d["position"], d["min_suffix_shift"]) for d in record["discarded"]}
+    assert families == {"right_tail": (0, 3), "reordered_tail": (0, 4)}
 
 
 def test_reduction_semantics_on_kernel_subspace():

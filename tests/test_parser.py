@@ -62,6 +62,24 @@ def test_parse_bounds_the_modes_of_a_term():
     assert err.value.position == len("vac + a[-1]") + 5 * 999
 
 
+def test_over_long_integer_literals_carry_position():
+    # Past the interpreter's limit on integer digits (4300 by default).
+    digits = "1" * 4400
+    for text, column in (
+        (f"{digits} vac", 0),
+        (f"{digits}/3 vac", 0),
+        (f"vac + a[-{digits}]vac", len("vac + a[-")),
+    ):
+        with pytest.raises(ParseError, match="integer literal too long") as err:
+            parse_element(text, HEIS)
+        assert err.value.position == column
+    with pytest.raises(ParseError, match="integer literal too long") as err:
+        parse_uea(f"J[0](vac) + J[{digits}](vac)", HEIS)
+    assert err.value.position == len("J[0](vac) + J[")
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_element(f"{digits}/0 vac", HEIS)
+
+
 def test_parse_syntax_errors_carry_position():
     with pytest.raises(ParseError):
         parse_element("a[-1]", HEIS)  # missing vac
