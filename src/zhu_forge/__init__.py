@@ -44,7 +44,6 @@ from .voa import (
     format_monomial,
     mode_action,
     monomial_weight,
-    truncation_bound,
 )
 from .zhu import (
     WeightOverflowError,
@@ -78,7 +77,6 @@ __all__ = [
     "basis_vectors",
     "apply_generator_mode",
     "mode_action",
-    "truncation_bound",
     "monomial_weight",
     "format_element",
     "format_monomial",

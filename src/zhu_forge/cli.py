@@ -176,20 +176,23 @@ def _input_error(exc: Exception) -> str:
     return str(exc)
 
 
-_RANGE_FLAGS = ("--s", "--t", "--N", "--central-charge")
 _RANGE_VALUE = re.compile(r"^-?\d+(\.\.-?\d+|/\d+)?$")
+# The flags whose value may start with "-", each with the values it joins.
+_DASH_VALUES = {flag: _RANGE_VALUE for flag in ("--s", "--t", "--N", "--central-charge")}
+_DASH_VALUES["--expr"] = re.compile(r"^-(?!-)")
 
 
 def _merge_range_flags(argv: list[str]) -> list[str]:
-    """Join range flags and ``--central-charge``, or a prefix of one, with
-    values like ``-2..2`` or ``-22/5`` that argparse would otherwise read as
-    options; argparse still rejects a prefix that is ambiguous."""
+    """Join range flags, ``--central-charge`` and ``--expr``, or a prefix of
+    one, with values like ``-2..2``, ``-22/5`` or ``-a[-1]vac`` that argparse
+    would otherwise read as options; argparse still rejects a prefix that is
+    ambiguous."""
     out: list[str] = []
     i = 0
     while i < len(argv):
         token = argv[i]
-        names = [flag for flag in _RANGE_FLAGS if flag.startswith(token)]
-        if len(names) == 1 and i + 1 < len(argv) and _RANGE_VALUE.match(argv[i + 1]):
+        names = [flag for flag in _DASH_VALUES if flag.startswith(token)]
+        if len(names) == 1 and i + 1 < len(argv) and _DASH_VALUES[names[0]].match(argv[i + 1]):
             out.append(f"{token}={argv[i + 1]}")
             i += 2
         else:

@@ -2,9 +2,11 @@
 
 A :class:`Presentation` lists strongly generating fields with their conformal
 weights, the pairwise commutators of their modes, a central charge and a
-recipe for the conformal vector. States live in the induced vacuum module;
-its basis is the set of normally ordered creation monomials, enumerated by
-restricted partitions of the conformal weight.
+recipe for the conformal vector. A commutator is a tuple of
+:class:`BracketTerm` ``(coeff, target)``, a central term having target
+``None`` and sitting on ``m+n = 0``. States live in the induced vacuum
+module; its basis is the set of normally ordered creation monomials,
+enumerated by restricted partitions of the conformal weight.
 
 Mode index convention: the stored index of a generator mode ``g(m)`` is
 chosen so that ``g(m)`` shifts conformal weight by ``-m``. For a weight-1
@@ -29,7 +31,7 @@ report; the axiom checks on this structure are ``suites.axiom_suite``.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -43,31 +45,19 @@ from .linalg import Combination, add_scaled
 # canonical order on modes inside a monomial.
 Monomial = tuple[tuple[int, str], ...]
 
-# A polynomial in the two mode indices (m, n) of a bracket, as a tuple of
-# ((deg_m, deg_n), coefficient) pairs.
-IndexPolynomial = tuple[tuple[tuple[int, int], Fraction | int], ...]
-
-
-def _eval_poly(poly: IndexPolynomial, m: int, n: int) -> Fraction | int:
-    total = 0
-    for (dm, dn), c in poly:
-        total += c * m**dm * n**dn
-    return total
-
 
 @dataclass(frozen=True)
 class BracketTerm:
-    """One contribution to the commutator ``[g(m), h(n)]``.
+    """One contribution ``coeff(m, n)`` to the commutator ``[g(m), h(n)]``.
 
-    ``target`` names a generator receiving index ``m+n``, or is ``None`` for
-    a central term supported on ``m+n == kronecker``. Central terms multiply
-    the presentation's central charge when ``uses_charge`` is set.
+    ``target`` names the generator receiving index ``m+n``, or is ``None``
+    for a central term, a multiple of the vacuum. Grading puts a central
+    term on ``m+n == 0`` only. ``coeff`` returns an ``int`` or ``Fraction``
+    and holds any parameter of the bracket, such as the central charge.
     """
 
-    poly: IndexPolynomial
-    target: str | None = None
-    kronecker: int = 0
-    uses_charge: bool = False
+    coeff: Callable[[int, int], Fraction | int]
+    target: str | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,8 +67,10 @@ class Presentation:
     The fields are lookup tables: ``generators`` maps each label to its
     conformal weight (insertion order is the generator order),
     ``vacuum_thresholds`` maps it to the least ``m`` with ``g(m)|vac> = 0``,
-    and ``brackets`` maps an ordered pair of labels to the terms of
-    ``[g(m), h(n)]``. Each is stored as a read-only copy, since the memo
+    and ``brackets`` maps an ordered pair of labels to the
+    :class:`BracketTerm` terms of ``[g(m), h(n)]``. ``central_charge`` is
+    the stated charge, which ``suites.presentation_checks`` checks against
+    the brackets. Each table is stored as a read-only copy, since the memo
     tables trust a presentation never to change. Compared and hashed by
     identity: :func:`builtin_presentation` returns one shared object per
     VOA, and a copy built by hand is another presentation.
@@ -141,20 +133,15 @@ def _intern_builtin(name: str, c: Fraction | None) -> Presentation:
         return Presentation(
             name="heisenberg",
             generators={"a": 1},
-            brackets={("a", "a"): (BracketTerm(poly=(((1, 0), 1),), target=None, kronecker=0),)},
+            brackets={("a", "a"): (BracketTerm(lambda m, n: m, None),)},
             central_charge=Fraction(1),
             conformal_recipe=((mono_aa, Fraction(1, 2)),),
             vacuum_thresholds={"a": 0},
         )
     if name == "virasoro":
         vir_terms = (
-            BracketTerm(poly=(((1, 0), 1), ((0, 1), -1)), target="L"),
-            BracketTerm(
-                poly=(((3, 0), Fraction(1, 12)), ((1, 0), Fraction(-1, 12))),
-                target=None,
-                kronecker=0,
-                uses_charge=True,
-            ),
+            BracketTerm(lambda m, n: m - n, "L"),
+            BracketTerm(lambda m, n: c * (m**3 - m) / 12, None),
         )
         return Presentation(
             name="virasoro",
@@ -310,15 +297,10 @@ def _apply_mono(presentation: Presentation, gen: str, m: int, mono: Monomial) ->
     for mono2, c2 in _apply_mono(presentation, gen, m, tail):
         add_scaled(acc, _apply_mono(presentation, head_g, head_m, mono2), c2)
     for term in presentation.brackets[gen, head_g]:
-        coeff = _eval_poly(term.poly, m, head_m)
-        if not coeff:
-            continue
         if term.target is None:
-            if m + head_m == term.kronecker:
-                if term.uses_charge:
-                    coeff *= presentation.central_charge
-                add_scaled(acc, ((tail, coeff),))
-        else:
+            if m + head_m == 0:
+                add_scaled(acc, ((tail, term.coeff(m, head_m)),))
+        elif coeff := term.coeff(m, head_m):
             add_scaled(acc, _apply_mono(presentation, term.target, m + head_m, tail), coeff)
     return _freeze(acc)
 
@@ -419,17 +401,6 @@ def zero_mode(u: FockVector, x: FockVector) -> FockVector:
     ``m_{wt(m)-1}``, so ``o`` is linear in ``u`` even when ``u`` is not
     homogeneous, and the vacuum acts as the identity."""
     return FockVector._adopt(u.presentation, mode_sum(u, x, lambda a, b: ((a - 1, 1),)))
-
-
-def truncation_bound(u: FockVector, v: FockVector) -> int:
-    """An index ``I`` with ``u_n v = 0`` for every ``n >= I``.
-
-    ``u_n v`` lands in weight ``wt(u)+wt(v)-n-1``; once that is negative the
-    result vanishes, so ``I = max_weight(u) + max_weight(v)`` works.
-    """
-    if u.is_zero or v.is_zero:
-        return 0
-    return u.max_weight() + v.max_weight()
 
 
 def clear_caches() -> None:

@@ -1,3 +1,5 @@
+import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -287,6 +289,25 @@ def test_negative_fractional_central_charge_is_a_value():
     assert doc["summary"]["fail"] == 0
 
 
+def test_expr_with_a_leading_minus_is_a_value(capsys):
+    # argparse alone reads "-a[-1]vac" as a flag; --expr, or a prefix of it,
+    # takes a word with one leading minus as --expr= does.
+    from zhu_forge import cli
+
+    word = "-J[0](a[-1]vac)J[0](a[-1]vac)"
+    for argv in (
+        ["parse", "--expr", "-a[-1]vac"],
+        ["parse", "--ex", "-a[-1]vac"],
+        ["parse", "--uea", "--expr", "-1/2"],
+        ["reduce", "--expr", word, "--mod-level", "1"],
+    ):
+        assert cli.main(argv) == 0
+    assert capsys.readouterr().out == "-a[-1]vac\n" * 2 + "-1/2\t1\n" + "-a[-1]a[-1]vac\n"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["parse", "--expr", "--uea"])
+    assert exc.value.code == 2
+
+
 def test_abbreviated_central_charge_takes_a_negative_value():
     for flag in ("--central", "--central-charge"):
         result = run_cli("parse", "--voa", "virasoro", flag, "-22/5", "--expr", "L[2]L[-2]vac")
@@ -527,3 +548,23 @@ def test_over_long_integer_literal_exits_2(argv):
     result = run_cli(*argv, expect=2)
     assert result.stderr.startswith("error: integer literal too long (at column")
     assert "Traceback" not in result.stderr
+
+
+def _bench_digests() -> dict[str, str]:
+    """The ``DIGESTS`` table of bench/oracles.py, read without importing it."""
+    tree = ast.parse((GOLDEN.parent.parent / "bench" / "oracles.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "DIGESTS":
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/oracles.py has no DIGESTS table")
+
+
+@pytest.mark.parametrize("line, digest", sorted(_bench_digests().items()))
+def test_bench_digest_lines_keep_their_bytes(line, digest, capsys):
+    # The benchmark rejects any change to these report bytes; this catches it
+    # in tier-1, with cold memo tables as in a fresh process.
+    from zhu_forge import cli, voa
+
+    voa.clear_caches()
+    assert cli.main(line.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -18,7 +18,6 @@ from zhu_forge import (
     format_element,
     mode_action,
     monomial_weight,
-    truncation_bound,
 )
 from zhu_forge import voa
 from zhu_forge.combinatorics import binomial
@@ -185,6 +184,20 @@ def test_central_charge_values():
     assert mode_action(omega0, 3, omega0).is_zero
 
 
+def test_each_virasoro_presentation_keeps_its_own_bracket():
+    # Each charge's central term is a closure over that charge: built one
+    # after another, every presentation still gives L(2)L(-2)vac = (c/2) vac.
+    charges = [Fraction(1, 2), Fraction(-22, 5), Fraction(0), Fraction(7, 10)]
+    built = [builtin_presentation("virasoro", c) for c in charges]
+    for c, presentation in zip(charges, built):
+        want = () if c == 0 else (((), c / 2),)
+        assert voa._apply_mono(presentation, "L", 2, ((-2, "L"),)) == want
+    # The charge in the bracket is checked against the stated one, not
+    # multiplied in: restating it breaks omega_3 omega = (c/2) vac.
+    restated = dataclasses.replace(VIR, central_charge=Fraction(5))
+    assert [f["check"] for f in presentation_checks(restated)] == ["central_charge_recovered"]
+
+
 def test_virasoro_hand_values():
     # L(2) L(-2)L(-2)vac = (8+c) L(-2)vac, L(4) L(-2)L(-2)vac = 3c vac,
     # L(1) L(-3)vac = 4 L(-2)vac; computed from the bracket by hand.
@@ -209,11 +222,14 @@ def test_grading_of_mode_action():
 
 
 def test_truncation_bound_is_effective():
-    for u in basis_vectors(VIR, 5):
-        for v in basis_vectors(VIR, 4):
-            bound = truncation_bound(u, v)
-            for i in (bound, bound + 1, bound + 5):
-                assert mode_action(u, i, v).is_zero
+    # u_i v has weight wt(u) + wt(v) - i - 1, so it vanishes once i >= wt(u)
+    # + wt(v); mode_sum skips those indices on this rule.
+    for presentation in (HEIS, VIR):
+        for u in basis_vectors(presentation, 5):
+            for v in basis_vectors(presentation, 4):
+                bound = u.max_weight() + v.max_weight()
+                for i in (bound, bound + 1, bound + 5):
+                    assert mode_action(u, i, v).is_zero
 
 
 def test_commutator_formula_on_vectors():
@@ -297,7 +313,7 @@ def test_presentation_invariants_witness_the_first_failure():
     bad = voa.Presentation(
         name="bad",
         generators={"a": 1},
-        brackets={("a", "a"): (BracketTerm(poly=(((2, 0), 1),), target=None),)},
+        brackets={("a", "a"): (BracketTerm(lambda m, n: m**2, None),)},
         central_charge=Fraction(5),
         conformal_recipe=((((-1, "a"),), Fraction(1)),),
         vacuum_thresholds={"a": 0},
@@ -332,7 +348,7 @@ def test_axiom_suite_passes_quickly():
 def test_axiom_suite_catches_tampered_bracket():
     tampered = dataclasses.replace(
         VIR,
-        brackets={("L", "L"): (BracketTerm(poly=(((1, 0), 1), ((0, 1), -1)), target="L"),)},
+        brackets={("L", "L"): (BracketTerm(lambda m, n: m - n, "L"),)},
     )
     doc = axiom_suite(tampered, 4, seed=0, jacobi_samples=10)
     assert not doc.passed
