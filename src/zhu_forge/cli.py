@@ -216,25 +216,32 @@ def _config_flags(path: str) -> list[str]:
     return flags
 
 
+def _build_config_parser() -> argparse.ArgumentParser:
+    """The pre-parser that finds ``--config`` before the full parse."""
+    config = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    config.add_argument("--config")
+    return config
+
+
 def _find_config_path(argv: list[str]) -> str | None:
     """The ``--config`` value, the flag abbreviated as argparse allows
     (``--conf``); the full parser still rejects an ambiguous ``--c``."""
-    config = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    config.add_argument("--config")
     try:
-        return config.parse_known_args(argv)[0].config
+        return _config_parser.parse_known_args(argv)[0].config
     except argparse.ArgumentError:
         return None  # the full parser reports it
 
 
 _parser: argparse.ArgumentParser | None = None
+_config_parser: argparse.ArgumentParser | None = None
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Built on the first call, not at import; parse_args keeps no state.
-    global _parser
+    # Built on the first call, not at import; parsing keeps no state.
+    global _parser, _config_parser
     if _parser is None:
         _parser = build_parser()
+        _config_parser = _build_config_parser()
     if argv is None:
         argv = sys.argv[1:]
     argv = list(argv)

@@ -11,12 +11,14 @@ enveloping-algebra words (:class:`zhu_forge.modes.UEAExpression`).
 For row reduction a caller-supplied key function gives the total order on
 columns. The leading entry of a row is its maximal column. Reduced row
 echelon form is canonical for the row space, so results do not depend on
-generation order.
+generation order. :func:`rref` eliminates over the integers, without a
+``Fraction`` until each row is divided by its pivot at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Hashable, Iterable
 
 Row = dict
@@ -131,16 +133,35 @@ class Combination:
         return sorted(self.terms.items(), key=lambda kv: sort_key(kv[0]))
 
 
+def _integral(row: Row) -> Row:
+    """A copy of ``row`` times the least common denominator of its entries,
+    so that every entry is an ``int``."""
+    denominators = [v.denominator for v in row.values() if type(v) is not int]
+    if not denominators:
+        return dict(row)
+    den = lcm(*denominators)
+    return {k: v.numerator * (den // v.denominator) for k, v in row.items()}
+
+
 def rref(
     rows: Iterable[Row], order: Callable, *, rank_cap: int | None = None
 ) -> tuple[list[Row], dict]:
     """Reduce rows to RREF; returns (rows, pivot key -> row index).
 
     Each returned row has leading coefficient 1 and its leading key appears
-    in no other row. Stored rows stay in full RREF, each holding exactly one
-    pivot key, so subtracting one stored row never brings back another
-    pivot key: a new row is cleared of every pivot in one pass, and its
-    leading key is found once.
+    in no other row; its entries are in :func:`exact`'s form.
+
+    The elimination runs over the integers, and every row is divided by its
+    pivot only once, at the end. Each incoming row is scaled by the common
+    denominator of its entries. A stored row is an integer row with coprime
+    entries and a positive leading entry, its pivot, and the stored rows are
+    in full RREF up to those scales: each holds exactly one pivot key, so
+    subtracting one stored row never brings back another pivot key. A new
+    row is thus cleared of every pivot in one pass, by cross-multiplication,
+    which scales the new row only when the pivot does not divide its entry,
+    and its leading key is found once. The new pivot is then cleared from
+    the stored rows the same way. A row that has been updated is divided by
+    the gcd of its entries before it is stored.
 
     ``rows`` is consumed one row at a time. With ``rank_cap`` set, no further
     row is pulled once that many pivots are stored: the caller guarantees
@@ -149,25 +170,65 @@ def rref(
     pivot_rows: dict[Hashable, Row] = {}
 
     for raw in rows:
-        row = dict(raw)
+        row = _integral(raw)
         for key in [k for k in row if k in pivot_rows]:
-            add_scaled(row, pivot_rows[key].items(), -row[key])
+            stored = pivot_rows[key]
+            if stored[key] != 1:
+                row = _clear(row, stored, key)
+                continue
+            # A unit pivot, the common case: add_scaled's loop, inlined
+            # and without its Fraction check, since every entry is an int.
+            value = row[key]
+            for k, v in stored.items():
+                new = row.get(k, 0) - v * value
+                if new:
+                    row[k] = new
+                else:
+                    del row[k]
         if not row:
             continue
         lead = max(row, key=order)
-        inv = 1 / Fraction(row[lead])
-        row = {k: exact(v * inv) for k, v in row.items()}
-        for other in pivot_rows.values():
-            coeff = other.get(lead)
-            if coeff:
-                add_scaled(other, row.items(), -coeff)
+        g = gcd(*row.values())
+        if row[lead] < 0:
+            g = -g
+        if g != 1:
+            row = {k: v // g for k, v in row.items()}
+        pivot = row[lead]
+        for key, other in pivot_rows.items():
+            if lead in other:
+                other = _clear(other, row, lead)
+                g = gcd(*other.values())
+                pivot_rows[key] = {k: v // g for k, v in other.items()} if g != 1 else other
         pivot_rows[lead] = row
         if len(pivot_rows) == rank_cap:
             break
     ordered = sorted(pivot_rows.items(), key=lambda kv: order(kv[0]))
-    out_rows = [row for _, row in ordered]
+    out_rows = [_divide(row, row[lead]) for lead, row in ordered]
     pivots = {lead: idx for idx, (lead, _) in enumerate(ordered)}
     return out_rows, pivots
+
+
+def _clear(row: Row, stored: Row, key: Hashable) -> Row:
+    """The integer row ``row`` with ``key`` cleared by an integer multiple
+    of ``stored``, whose entry at ``key`` is positive. ``row`` is updated in
+    place unless that entry does not divide ``row[key]``: then ``row`` is
+    first scaled, into a new dict, by the least positive integer that makes
+    it divide."""
+    value, pivot = row[key], stored[key]
+    if value % pivot:
+        scale = pivot // gcd(value, pivot)
+        row = {k: v * scale for k, v in row.items()}
+        value *= scale
+    add_scaled(row, stored.items(), -(value // pivot))
+    return row
+
+
+def _divide(row: Row, pivot: int) -> Row:
+    """The integer row ``row`` divided by ``pivot > 0``, each entry in
+    :func:`exact`'s form."""
+    if pivot == 1:
+        return row
+    return {k: v // pivot if v % pivot == 0 else Fraction(v, pivot) for k, v in row.items()}
 
 
 def reduce_vector(vec: Row, rows: list[Row], pivots: dict) -> Row:

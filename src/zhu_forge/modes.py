@@ -481,7 +481,7 @@ def reduce_word(
         # pair rewrite itself produces the star product even against the
         # vacuum; symbols created during rewriting are still normalized.
         # Every raw word has one letter per factor, so no two coincide.
-        raw: dict[Word, Fraction] = {(): Fraction(1)}
+        raw: dict[Word, Fraction] = {(): 1}
         for argument, shift in factors:
             if argument.presentation != presentation:
                 raise ValueError("argument belongs to a different presentation")

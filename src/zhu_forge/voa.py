@@ -406,8 +406,9 @@ def zero_mode(u: FockVector, x: FockVector) -> FockVector:
 def clear_caches() -> None:
     """Empty every table registered with :func:`memo`: normal ordering
     (``_apply_mono``), the mode action (``_mode_mono``), the star
-    coefficients ``zhu._star_coefficients``, ``zhu.build_zhu_context``, and
-    the pair rewrite's ``modes._pair_coefficients`` and head vectors
+    coefficients ``zhu._star_coefficients``, ``L(-1)`` on basis monomials
+    ``zhu._translate_mono``, ``zhu.build_zhu_context``, and the pair
+    rewrite's ``modes._pair_coefficients`` and head vectors
     ``modes._pair_head``. The shared built-in presentations are kept."""
     for table in _MEMOS:
         table.cache_clear()

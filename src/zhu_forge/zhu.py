@@ -16,7 +16,10 @@ stored: :func:`circle_product` and :func:`star_product` are one
 the cutoff, and :func:`star_top_weight` gives a star product's top weight.
 The span's circle products and the ``u_{-2} v`` rows of :func:`c2_dims` come
 from one loop over basis pairs under a weight bound, :func:`_pair_rows`.
-The level ideal is spanned by all circle products and ``L(-1)u + L(0)u``; a
+The level ideal is spanned by all circle products and ``L(-1)u + L(0)u``.
+:func:`translation_row` reads the latter without the conformal vector:
+``L(0)`` is the weight, and ``L(-1)`` moves one mode at a time by
+translation covariance (:func:`_translate_mono`, a memo table). A
 :class:`ZhuContext` holds the row-reduced span of the spanning vectors whose
 components all fit under a weight cutoff. That is an inner approximation of
 the ideal's intersection with the weight window: whenever a reduction
@@ -47,9 +50,12 @@ from .combinatorics import binomial
 from .linalg import add_scaled, kernel_basis, reduce_vector, rref
 from .report import DimensionTable
 from .voa import (
+    Combo,
     FockVector,
     Monomial,
     Presentation,
+    _apply_mono,
+    _freeze,
     _mode_mono,
     basis_vectors,
     enumerate_basis,
@@ -142,9 +148,37 @@ def basic_star_product(u: FockVector, v: FockVector) -> FockVector:
 
 
 def translation_row(presentation: Presentation, u: FockVector) -> FockVector:
-    """The spanning vector ``L(-1)u + L(0)u``."""
-    omega = presentation.conformal_vector()
-    return mode_action(omega, 0, u) + mode_action(omega, 1, u)
+    """The spanning vector ``L(-1)u + L(0)u``, read without the conformal
+    vector: ``L(0)`` multiplies each basis monomial by its weight, and
+    ``L(-1)`` is :func:`_translate_mono` on each monomial. These are the
+    identities ``omega_1 = L(0)`` and ``[L(-1), Y(g, z)] = d/dz Y(g, z)``
+    that ``suites.axiom_suite`` certifies as ``l0_grading`` and
+    ``translation_covariance``."""
+    if u.presentation != presentation:
+        raise ValueError("vector does not belong to this presentation")
+    acc: dict[Monomial, Fraction] = {}
+    for mono, coeff in u.terms.items():
+        add_scaled(acc, _translate_mono(presentation, mono), coeff)
+        add_scaled(acc, ((mono, monomial_weight(mono)),), coeff)
+    return FockVector._adopt(presentation, acc)
+
+
+@memo
+def _translate_mono(presentation: Presentation, mono: Monomial) -> Combo:
+    """``L(-1)`` on the basis monomial ``mono``, by translation covariance:
+    ``[L(-1), g(m)] = -(m+d-1) g(m-1)`` for a generator of weight ``d`` and
+    ``L(-1) vac = 0``. The head ``g(m)`` is peeled, so ``L(-1) g(m) rest =
+    -(m+d-1) g(m-1) rest + g(m) L(-1) rest``, and both terms are normal
+    ordered with ``voa._apply_mono``."""
+    if not mono:
+        return ()
+    (m, gen), rest = mono[0], mono[1:]
+    acc: dict[Monomial, Fraction] = {}
+    index = m + presentation.generators[gen] - 1  # the ordinary mode index of g(m)
+    add_scaled(acc, _apply_mono(presentation, gen, m - 1, rest), -index)
+    for mono2, c2 in _translate_mono(presentation, rest):
+        add_scaled(acc, _apply_mono(presentation, gen, m, mono2), c2)
+    return _freeze(acc)
 
 
 @dataclass(frozen=True)

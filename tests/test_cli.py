@@ -323,17 +323,22 @@ def test_main_builds_the_parser_once(monkeypatch, capsys):
 
     built = []
 
-    def counting():
-        built.append(1)
-        return build_parser()
+    def counting(build):
+        def wrapped():
+            built.append(build.__name__)
+            return build()
 
-    build_parser = cli.build_parser
+        return wrapped
+
     monkeypatch.setattr(cli, "_parser", None)
-    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_config_parser", None)
+    for name in ("build_parser", "_build_config_parser"):
+        monkeypatch.setattr(cli, name, counting(getattr(cli, name)))
     argv = ["parse", "--voa", "heisenberg", "--expr", "a[-1]vac"]
     assert cli.main(argv) == 0
     assert cli.main(argv) == 0
-    assert len(built) == 1
+    # The --config pre-parser is built once beside the full parser.
+    assert sorted(built) == ["_build_config_parser", "build_parser"]
     assert capsys.readouterr().out == "a[-1]vac\n" * 2
 
 

@@ -208,12 +208,17 @@ def to_sympy(matrix, ncols):
     return sympy.Matrix(len(matrix), ncols, sum(matrix, []))
 
 
+# Up to ten rows on at most five columns, so that dependent rows and the
+# clearing of stored rows are exercised; entries are small fractions or
+# integers up to 10**6.
+entries = st.fractions(min_value=-2, max_value=2, max_denominator=3) | st.integers(
+    -(10**6), 10**6
+)
 matrices = st.integers(1, 5).flatmap(
     lambda ncols: st.lists(
-        st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=3),
-                 min_size=ncols, max_size=ncols),
+        st.lists(entries, min_size=ncols, max_size=ncols),
         min_size=0,
-        max_size=5,
+        max_size=10,
     ).map(lambda rows: (rows, ncols))
 )
 
@@ -233,6 +238,7 @@ def test_rref_matches_sympy(data):
     )
     assert ours == theirs
     assert sorted(pivots) == sorted(expected_pivots)
+    assert_exact(v for row in rows for v in row.values())
 
 
 @settings(max_examples=60, deadline=None)
@@ -255,6 +261,7 @@ def test_reduce_vector_matches_sympy(data, draw):
 def test_kernel_basis_matches_sympy(data):
     matrix, ncols = data
     kernel = kernel_basis(to_rows(matrix), ncols)
+    assert_exact(v for vec in kernel for v in vec.values())
     constraints = to_sympy(matrix, ncols)
     expected = constraints.nullspace()
     assert len(kernel) == len(expected)
@@ -295,3 +302,47 @@ def test_kernel_basis_ignores_redundant_rows(data, draw):
     expected = kernel_basis(to_rows(matrix), ncols)
     assert kernel_basis(iter(to_rows(mixed)), ncols) == expected
     assert expected == sympy_kernel_basis(matrix, ncols)
+
+
+def fraction_rref(rows, order):
+    """Reference RREF over ``Fraction``: each new row is cleared of the
+    stored pivots, normalized to a leading 1, and then cleared from the
+    stored rows, so every later elimination carries the fractions."""
+
+    def subtract(acc, row, coeff):
+        for key, value in row.items():
+            new = acc.get(key, 0) - coeff * value
+            if new:
+                acc[key] = new
+            else:
+                acc.pop(key, None)
+
+    pivot_rows = {}
+    for raw in rows:
+        row = {k: Fraction(v) for k, v in raw.items() if v}
+        for key in [k for k in row if k in pivot_rows]:
+            subtract(row, pivot_rows[key], row[key])
+        if not row:
+            continue
+        lead = max(row, key=order)
+        row = {k: v / row[lead] for k, v in row.items()}
+        for other in pivot_rows.values():
+            if lead in other:
+                subtract(other, row, other[lead])
+        pivot_rows[lead] = row
+    ordered = sorted(pivot_rows.items(), key=lambda kv: order(kv[0]))
+    return [row for _, row in ordered], {lead: i for i, (lead, _) in enumerate(ordered)}
+
+
+def test_zhu_context_matches_fraction_reference_rref():
+    # Every truncated span of Heisenberg and of Virasoro at c = 1/2 and
+    # c = -22/5, levels 0-2 and cutoffs 0-10, against the reference.
+    for presentation in (HEIS, VIR, builtin_presentation("virasoro", Fraction(-22, 5))):
+        for level in range(3):
+            for cutoff in range(11):
+                ctx = build_zhu_context(presentation, level, cutoff)
+                spanning = (v.terms for v in spanning_vectors(presentation, level, cutoff))
+                rows, pivots = fraction_rref(spanning, monomial_order)
+                assert [row.terms for row in ctx.rows] == rows
+                assert ctx.pivots == pivots
+                assert_exact(c for row in ctx.rows for c in row.terms.values())

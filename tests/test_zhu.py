@@ -313,6 +313,21 @@ def test_unit_and_centrality_in_quotient():
             assert ctx.reduce(left) == ctx.reduce(right)
 
 
+def test_translation_row_matches_its_definition():
+    # The oracle is the definition, (omega_0 + omega_1) u, which the row
+    # itself never reads.
+    charges = (Fraction(1, 2), Fraction(-22, 5), Fraction(0))
+    presentations = [HEIS] + [builtin_presentation("virasoro", c) for c in charges]
+    for presentation in presentations:
+        omega = presentation.conformal_vector()
+        basis = basis_vectors(presentation, 8)
+        mixed = 3 * basis[0] - basis[2] + Fraction(2, 7) * basis[-1]
+        assert not mixed.is_homogeneous()
+        for u in basis + [mixed]:
+            want = mode_action(omega, 0, u) + mode_action(omega, 1, u)
+            assert translation_row(presentation, u) == want, format_element(u)
+
+
 def test_translation_rows_vanish_in_quotient():
     for level in (0, 1, 2):
         ctx = build_zhu_context(HEIS, level, 6)
