@@ -14,8 +14,10 @@ stored: :func:`circle_product` and :func:`star_product` are one
 :func:`_star_coefficients`. Products are windowed by weight alone:
 :func:`spanning_vectors` keeps a circle product whose top weight fits under
 the cutoff, and :func:`star_top_weight` gives a star product's top weight.
-The span's circle products and the ``u_{-2} v`` rows of :func:`c2_dims` come
-from one loop over basis pairs under a weight bound, :func:`_pair_rows`.
+Above level 0 the span's circle products come from a loop over basis
+pairs. The level-0 span and the span of :func:`c2_dims` are built from the
+generators alone, one row ``sum_i c_i g_{i-2-m} v`` per generator ``g``,
+``m >= 0`` and basis state ``v`` (:func:`_generator_rows`).
 The level ideal is spanned by all circle products and ``L(-1)u + L(0)u``.
 :func:`translation_row` reads the latter without the conformal vector:
 ``L(0)`` is the weight, and ``L(-1)`` moves one mode at a time by
@@ -242,37 +244,57 @@ def _free_monomials(presentation: Presentation, cutoff: int, pivots: dict) -> Di
     return DimensionTable(rows)
 
 
-def _pair_rows(presentation: Presentation, bound: int, product) -> list[FockVector]:
-    """The nonzero ``product(u, v)`` over pairs of basis vectors with
-    ``wt(u) + wt(v) <= bound``, ``u`` outer and both in basis order."""
-    if bound < 0:
-        return []
-    basis = enumerate_basis(presentation, bound)
-    flat = [(w, FockVector.from_monomial(presentation, m)) for w, monos in basis for m in monos]
-    return [
-        prod
-        for wu, u in flat
-        for wv, v in flat
-        if wu + wv <= bound and (prod := product(u, v))
-    ]
+def _generator_rows(presentation: Presentation, cutoff: int, coefficients) -> list[FockVector]:
+    """The nonzero rows ``sum_i c_i g_{i-2-m} v``, ``(c_0, c_1, ...) =
+    coefficients(wt(g))``, over generators ``g``, ``m >= 0`` and basis
+    monomials ``v`` with top weight ``wt(g) + wt(v) + 1 + m <= cutoff``. For
+    ``g`` of weight ``d`` the ordinary index ``k`` is the stored index
+    ``k - d + 1`` of ``voa._apply_mono``, which normal orders each term."""
+    rows: list[FockVector] = []
+    for gen, d in presentation.generators.items():
+        coeffs = coefficients(d)
+        for wv, monos in enumerate_basis(presentation, cutoff):
+            for vmono in monos:
+                for m in range(cutoff - d - wv):
+                    acc: dict[Monomial, Fraction] = {}
+                    for i, c in enumerate(coeffs):
+                        add_scaled(acc, _apply_mono(presentation, gen, i - m - d - 1, vmono), c)
+                    if acc:
+                        rows.append(FockVector._adopt(presentation, acc))
+    return rows
 
 
 def spanning_vectors(presentation: Presentation, level: int, cutoff: int) -> list[FockVector]:
     """Generators of the truncated level ideal that fit under the cutoff.
 
-    Circle products of basis pairs are kept when every output component has
-    weight at most the cutoff (the top component sits at
-    ``wt(u)+wt(v)+2*level+1``), plus the translation rows for basis vectors
-    of weight below the cutoff.
+    At level 0, the rows of :func:`_generator_rows` with ``c_i = C(wt(g),
+    i)``: the row at ``m = 0`` is ``g o_0 v``, and each row lies in O(V) by
+    Zhu's Lemma 2.1.2 (J. AMS 9, 1996). That they span the truncation of
+    the pair loop's span is licensed by the grid test against that loop in
+    ``tests/test_zhu.py``, not by the lemma. Above level 0, the circle
+    products of basis pairs whose top component, of weight
+    ``wt(u)+wt(v)+2*level+1``, fits under the cutoff. Then the translation
+    rows of the basis vectors of weight below the cutoff.
     """
-    vectors = _pair_rows(
-        presentation, cutoff - 2 * level - 1, lambda u, v: circle_product(u, v, level)
-    )
+    if level < 0 or cutoff < 0:
+        raise ValueError("level and cutoff must be nonnegative")
+    if level == 0:
+        vectors = _generator_rows(
+            presentation, cutoff, lambda d: [binomial(d, i) for i in range(d + 1)]
+        )
+    else:
+        bound = cutoff - 2 * level - 1
+        basis = enumerate_basis(presentation, max(bound, 0))
+        flat = [(w, FockVector.from_monomial(presentation, m)) for w, monos in basis for m in monos]
+        vectors = [
+            prod
+            for wu, u in flat
+            for wv, v in flat
+            if wu + wv <= bound and (prod := circle_product(u, v, level))
+        ]
     if cutoff >= 1:
-        for u in basis_vectors(presentation, cutoff - 1):
-            row = translation_row(presentation, u)
-            if row:
-                vectors.append(row)
+        basis = basis_vectors(presentation, cutoff - 1)
+        vectors += [row for u in basis if (row := translation_row(presentation, u))]
     return vectors
 
 
@@ -283,8 +305,6 @@ def build_zhu_context(presentation: Presentation, level: int, cutoff: int) -> Zh
     Memoized like normal ordering, so each (presentation, level, cutoff)
     span is built once per process; ``voa.clear_caches`` empties the memo.
     """
-    if level < 0 or cutoff < 0:
-        raise ValueError("level and cutoff must be nonnegative")
     raw = spanning_vectors(presentation, level, cutoff)
     rows, pivots = rref((vec.terms for vec in raw), order=monomial_order)
     if () in pivots:
@@ -301,8 +321,16 @@ def an_dims(presentation: Presentation, level: int, cutoff: int) -> DimensionTab
 
 
 def c2_dims(presentation: Presentation, cutoff: int) -> DimensionTable:
-    """Graded dimensions of the weight-truncated quotient by span{u_{-2} v}."""
-    vectors = _pair_rows(presentation, cutoff - 1, lambda u, v: mode_action(u, -2, v))
+    """Graded dimensions of the weight-truncated quotient by span{u_{-2} v}.
+
+    A strongly generated V has C_2(V) spanned by the ``g_{-2-m} v`` (see H.
+    Li, Commun. Math. Phys. 259, 2005), a graded span, so the rows of
+    :func:`_generator_rows` with ``c_0 = 1`` alone span its truncation; the
+    grid test in ``tests/test_zhu.py`` checks it against basis pairs.
+    """
+    if cutoff < 0:
+        raise ValueError("level and cutoff must be nonnegative")
+    vectors = _generator_rows(presentation, cutoff, lambda d: (1,))
     _, pivots = rref((vec.terms for vec in vectors), order=monomial_order)
     return _free_monomials(presentation, cutoff, pivots)
 

@@ -407,6 +407,27 @@ def test_span_out_golden(tmp_path, argv, golden):
     assert span.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["--voa", "heisenberg", "--level", "0", "--cutoff", "14"],
+         "dims_cli_heisenberg_n0_w14.csv"),
+        (["--voa", "virasoro", "--central-charge=-22/5", "--level", "0", "--cutoff", "14"],
+         "dims_cli_virasoro_m22_5_n0_w14.csv"),
+        ([*VIRASORO_HALF, "--kind", "c2", "--cutoff", "14"], "c2_dims_virasoro_half_w14.csv"),
+    ],
+    ids=["heisenberg-n0", "virasoro-m22_5-n0", "c2-virasoro-half"],
+)
+def test_dims_golden_at_cutoff_14(argv, golden, capsys):
+    # Level-0 and C2 tables from the generator rows, cold, against tables
+    # recorded from the basis-pair rows.
+    from zhu_forge import cli, voa
+
+    voa.clear_caches()
+    assert cli.main(["dims", *argv]) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
 @pytest.mark.parametrize("variant", ["rightmost", "leftmost"])
 def test_reduce_golden(tmp_path, variant):
     # An inhomogeneous first factor with a vacuum component, three letters

@@ -27,9 +27,16 @@ from zhu_forge import (
     translation_row,
     voa,
 )
+from zhu_forge.linalg import rref
 from zhu_forge.suites import omega_suite
 from zhu_forge.voa import _mode_mono
-from zhu_forge.zhu import _star_coefficients, an_dims, spanning_vectors
+from zhu_forge.zhu import (
+    _free_monomials,
+    _generator_rows,
+    _star_coefficients,
+    an_dims,
+    spanning_vectors,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -356,6 +363,72 @@ def test_vacuum_pivot_is_fatal(monkeypatch):
     monkeypatch.setattr(zhu_module, "spanning_vectors", lambda *a: [VAC])
     with pytest.raises(RuntimeError, match="vacuum"):
         build_zhu_context(HEIS, 0, 2)
+
+
+def _pair_rows(presentation, bound, product):
+    """The nonzero ``product(u, v)`` over basis pairs with ``wt(u) + wt(v)
+    <= bound``: the oracle whose span the generator rows of the level-0 and
+    C2 spans must match."""
+    if bound < 0:
+        return []
+    flat = [
+        (w, FockVector.from_monomial(presentation, m))
+        for w, monos in voa.enumerate_basis(presentation, bound)
+        for m in monos
+    ]
+    return [prod for wu, u in flat for wv, v in flat if wu + wv <= bound and (prod := product(u, v))]
+
+
+def _assert_generator_rows_match_pair_loop(presentation, cutoff):
+    # Level 0: the circle products of basis pairs and the translation rows.
+    oracle = _pair_rows(presentation, cutoff - 1, lambda u, v: circle_product(u, v, 0))
+    if cutoff >= 1:
+        oracle += [translation_row(presentation, u) for u in basis_vectors(presentation, cutoff - 1)]
+    rows, pivots = rref((v.terms for v in oracle), order=voa.monomial_order)
+    ctx = build_zhu_context(presentation, 0, cutoff)
+    assert [row.terms for row in ctx.rows] == rows
+    assert ctx.pivots == pivots
+    # C2: the u_{-2} v of basis pairs.
+    oracle = _pair_rows(presentation, cutoff - 1, lambda u, v: mode_action(u, -2, v))
+    rows, pivots = rref((v.terms for v in oracle), order=voa.monomial_order)
+    generated = _generator_rows(presentation, cutoff, lambda d: (1,))
+    assert rref((v.terms for v in generated), order=voa.monomial_order) == (rows, pivots)
+    assert c2_dims(presentation, cutoff) == _free_monomials(presentation, cutoff, pivots)
+
+
+@pytest.mark.parametrize(
+    "presentation",
+    (HEIS, VIR, *(builtin_presentation("virasoro", Fraction(c)) for c in ("-22/5", "0"))),
+    ids=lambda p: f"{p.name}-c={p.central_charge}",
+)
+def test_generator_rows_match_pair_loop(presentation):
+    # The level-0 and C2 spans are built from generator rows; this grid,
+    # not the lemmas cited in zhu.py, is what licenses that.
+    for cutoff in range(13):
+        _assert_generator_rows_match_pair_loop(presentation, cutoff)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(-60, 60), st.integers(1, 12), st.integers(0, 8))
+def test_generator_rows_match_pair_loop_at_any_charge(p, q, cutoff):
+    presentation = builtin_presentation("virasoro", Fraction(p, q))
+    _assert_generator_rows_match_pair_loop(presentation, cutoff)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: spanning_vectors(HEIS, 0, -3),
+        lambda: spanning_vectors(HEIS, -1, 3),
+        lambda: c2_dims(HEIS, -1),
+        lambda: build_zhu_context(HEIS, -1, 3),
+        lambda: build_zhu_context(HEIS, 0, -1),
+    ],
+    ids=["span-cutoff", "span-level", "c2-cutoff", "context-level", "context-cutoff"],
+)
+def test_negative_level_or_cutoff_is_refused(build):
+    with pytest.raises(ValueError, match="^level and cutoff must be nonnegative$"):
+        build()
 
 
 # --- dimension tables ---------------------------------------------------------
