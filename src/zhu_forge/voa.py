@@ -407,8 +407,9 @@ def clear_caches() -> None:
     """Empty every table registered with :func:`memo`: normal ordering
     (``_apply_mono``), the mode action (``_mode_mono``), the star
     coefficients ``zhu._star_coefficients``, ``L(-1)`` on basis monomials
-    ``zhu._translate_mono``, ``zhu.build_zhu_context``, and the pair
-    rewrite's ``modes._pair_coefficients`` and head vectors
-    ``modes._pair_head``. The shared built-in presentations are kept."""
+    ``zhu._translate_mono``, ``zhu.build_zhu_context``, the C2 pivots
+    ``zhu._c2_pivots``, and the pair rewrite's ``modes._pair_coefficients``
+    and head vectors ``modes._pair_head``. The shared built-in
+    presentations are kept."""
     for table in _MEMOS:
         table.cache_clear()

@@ -14,10 +14,12 @@ stored: :func:`circle_product` and :func:`star_product` are one
 :func:`_star_coefficients`. Products are windowed by weight alone:
 :func:`spanning_vectors` keeps a circle product whose top weight fits under
 the cutoff, and :func:`star_top_weight` gives a star product's top weight.
-Above level 0 the span's circle products come from a loop over basis
-pairs. The level-0 span and the span of :func:`c2_dims` are built from the
-generators alone, one row ``sum_i c_i g_{i-2-m} v`` per generator ``g``,
-``m >= 0`` and basis state ``v`` (:func:`_generator_rows`).
+Above level 0 the span takes one circle product per unordered pair of
+distinct basis monomials: by skew symmetry ``u o_n v + v o_n u`` lies in
+the span of the translation rows. The level-0 span and the span of
+:func:`c2_dims` are built from the generators alone, one row ``sum_i c_i
+g_{i-2-m} v`` per generator ``g``, ``m >= 0`` and basis state ``v``
+(:func:`_generator_rows`); the pivots of the latter are a memo table.
 The level ideal is spanned by all circle products and ``L(-1)u + L(0)u``.
 :func:`translation_row` reads the latter without the conformal vector:
 ``L(0)`` is the weight, and ``L(-1)`` moves one mode at a time by
@@ -44,6 +46,7 @@ between levels and the zero modes on the kernel subspace among them, live in
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -235,7 +238,9 @@ class ZhuContext:
         }
 
 
-def _free_monomials(presentation: Presentation, cutoff: int, pivots: dict) -> DimensionTable:
+def _free_monomials(
+    presentation: Presentation, cutoff: int, pivots: Container[Monomial]
+) -> DimensionTable:
     """Per-weight counts of the basis monomials that are not pivots."""
     rows = [
         (w, sum(1 for m in monos if m not in pivots))
@@ -272,9 +277,19 @@ def spanning_vectors(presentation: Presentation, level: int, cutoff: int) -> lis
     Zhu's Lemma 2.1.2 (J. AMS 9, 1996). That they span the truncation of
     the pair loop's span is licensed by the grid test against that loop in
     ``tests/test_zhu.py``, not by the lemma. Above level 0, the circle
-    products of basis pairs whose top component, of weight
-    ``wt(u)+wt(v)+2*level+1``, fits under the cutoff. Then the translation
-    rows of the basis vectors of weight below the cutoff.
+    products ``u o_n v`` of basis monomials whose top component, of weight
+    ``wt(u)+wt(v)+2*level+1``, fits under the cutoff, one per unordered
+    pair of distinct monomials. Skew symmetry, ``Y(u,z)v = e^{zL(-1)}
+    Y(v,-z)u``, makes the other order redundant: modulo the translation
+    rows, ``L(-1)^k x`` is ``(-1)^k wt(x)(wt(x)+1)...(wt(x)+k-1) x`` for
+    homogeneous ``x``, so ``e^{zL(-1)}`` acts as ``(1+z)^{-wt(x)}``, and
+    the residue against ``(1+z)^{wt(u)+n} z^{-2n-2}`` gives ``u o_n v =
+    -v o_n u`` and ``u o_n u = 0``, using states of weight at most the
+    top weight only. Of each pair the left factor is the one first in
+    ``(len(m), wt(m), m)``, so ``voa._mode_mono`` peels the shorter
+    monomial. The grid test against the ordered pair loop in
+    ``tests/test_zhu.py`` licenses that the span is unchanged. Then the
+    translation rows of the basis vectors of weight below the cutoff.
     """
     if level < 0 or cutoff < 0:
         raise ValueError("level and cutoff must be nonnegative")
@@ -285,11 +300,12 @@ def spanning_vectors(presentation: Presentation, level: int, cutoff: int) -> lis
     else:
         bound = cutoff - 2 * level - 1
         basis = enumerate_basis(presentation, max(bound, 0))
-        flat = [(w, FockVector.from_monomial(presentation, m)) for w, monos in basis for m in monos]
+        order = sorted((len(m), w, m) for w, monos in basis for m in monos)
+        flat = [(w, FockVector.from_monomial(presentation, m)) for _, w, m in order]
         vectors = [
             prod
-            for wu, u in flat
-            for wv, v in flat
+            for i, (wu, u) in enumerate(flat)
+            for wv, v in flat[i + 1 :]
             if wu + wv <= bound and (prod := circle_product(u, v, level))
         ]
     if cutoff >= 1:
@@ -326,13 +342,21 @@ def c2_dims(presentation: Presentation, cutoff: int) -> DimensionTable:
     A strongly generated V has C_2(V) spanned by the ``g_{-2-m} v`` (see H.
     Li, Commun. Math. Phys. 259, 2005), a graded span, so the rows of
     :func:`_generator_rows` with ``c_0 = 1`` alone span its truncation; the
-    grid test in ``tests/test_zhu.py`` checks it against basis pairs.
+    grid test in ``tests/test_zhu.py`` checks it against basis pairs. The
+    pivots are memoized (:func:`_c2_pivots`); the table is built afresh on
+    each call, since a :class:`DimensionTable` holds a mutable list.
     """
     if cutoff < 0:
         raise ValueError("level and cutoff must be nonnegative")
+    return _free_monomials(presentation, cutoff, _c2_pivots(presentation, cutoff))
+
+
+@memo
+def _c2_pivots(presentation: Presentation, cutoff: int) -> frozenset[Monomial]:
+    """The pivot monomials of the row-reduced truncated C2 span."""
     vectors = _generator_rows(presentation, cutoff, lambda d: (1,))
     _, pivots = rref((vec.terms for vec in vectors), order=monomial_order)
-    return _free_monomials(presentation, cutoff, pivots)
+    return frozenset(pivots)
 
 
 def _kernel_rows(

@@ -428,6 +428,25 @@ def test_dims_golden_at_cutoff_14(argv, golden, capsys):
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["--voa", "heisenberg", "--level", "1", "--cutoff", "14"],
+         "dims_cli_heisenberg_n1_w14.csv"),
+        ([*VIRASORO_HALF, "--level", "2", "--cutoff", "12"], "dims_cli_virasoro_half_n2_w12.csv"),
+    ],
+    ids=["heisenberg-n1", "virasoro-half-n2"],
+)
+def test_dims_golden_above_level_zero(argv, golden, capsys):
+    # Tables from one circle product per unordered basis pair, cold, against
+    # tables recorded from the circle products of every ordered pair.
+    from zhu_forge import cli, voa
+
+    voa.clear_caches()
+    assert cli.main(["dims", *argv]) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
 @pytest.mark.parametrize("variant", ["rightmost", "leftmost"])
 def test_reduce_golden(tmp_path, variant):
     # An inhomogeneous first factor with a vacuum component, three letters

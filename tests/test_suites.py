@@ -259,6 +259,7 @@ def test_reports_do_not_depend_on_memo_state():
         return (
             zhu_structure_suite(HEIS, 1, 3).canonical_bytes(),
             modes.homomorphism_check(HEIS, 1, 3).canonical_bytes(),
+            zhu.c2_dims(HEIS, 3).to_csv(),
         )
 
     first = reports()

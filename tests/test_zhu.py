@@ -27,7 +27,7 @@ from zhu_forge import (
     translation_row,
     voa,
 )
-from zhu_forge.linalg import rref
+from zhu_forge.linalg import reduce_vector, rref
 from zhu_forge.suites import omega_suite
 from zhu_forge.voa import _mode_mono
 from zhu_forge.zhu import (
@@ -366,9 +366,10 @@ def test_vacuum_pivot_is_fatal(monkeypatch):
 
 
 def _pair_rows(presentation, bound, product):
-    """The nonzero ``product(u, v)`` over basis pairs with ``wt(u) + wt(v)
-    <= bound``: the oracle whose span the generator rows of the level-0 and
-    C2 spans must match."""
+    """The nonzero ``product(u, v)`` over ordered basis pairs with ``wt(u) +
+    wt(v) <= bound``: the oracle whose span the generator rows of the
+    level-0 and C2 spans, and the unordered pairs above level 0, must
+    match."""
     if bound < 0:
         return []
     flat = [
@@ -379,15 +380,25 @@ def _pair_rows(presentation, bound, product):
     return [prod for wu, u in flat for wv, v in flat if wu + wv <= bound and (prod := product(u, v))]
 
 
-def _assert_generator_rows_match_pair_loop(presentation, cutoff):
-    # Level 0: the circle products of basis pairs and the translation rows.
-    oracle = _pair_rows(presentation, cutoff - 1, lambda u, v: circle_product(u, v, 0))
+def _ordered_pair_span(presentation, level, cutoff):
+    """The RREF of the circle products of every ordered basis pair whose top
+    weight fits under the cutoff, with the translation rows."""
+    bound = cutoff - 2 * level - 1
+    oracle = _pair_rows(presentation, bound, lambda u, v: circle_product(u, v, level))
     if cutoff >= 1:
         oracle += [translation_row(presentation, u) for u in basis_vectors(presentation, cutoff - 1)]
-    rows, pivots = rref((v.terms for v in oracle), order=voa.monomial_order)
-    ctx = build_zhu_context(presentation, 0, cutoff)
+    return rref((v.terms for v in oracle), order=voa.monomial_order)
+
+
+def _assert_context_matches_ordered_pairs(presentation, level, cutoff):
+    rows, pivots = _ordered_pair_span(presentation, level, cutoff)
+    ctx = build_zhu_context(presentation, level, cutoff)
     assert [row.terms for row in ctx.rows] == rows
     assert ctx.pivots == pivots
+
+
+def _assert_generator_rows_match_pair_loop(presentation, cutoff):
+    _assert_context_matches_ordered_pairs(presentation, 0, cutoff)
     # C2: the u_{-2} v of basis pairs.
     oracle = _pair_rows(presentation, cutoff - 1, lambda u, v: mode_action(u, -2, v))
     rows, pivots = rref((v.terms for v in oracle), order=voa.monomial_order)
@@ -413,6 +424,56 @@ def test_generator_rows_match_pair_loop(presentation):
 def test_generator_rows_match_pair_loop_at_any_charge(p, q, cutoff):
     presentation = builtin_presentation("virasoro", Fraction(p, q))
     _assert_generator_rows_match_pair_loop(presentation, cutoff)
+
+
+@pytest.mark.parametrize(
+    "presentation",
+    (HEIS, VIR, *(builtin_presentation("virasoro", Fraction(c)) for c in ("-22/5", "0"))),
+    ids=lambda p: f"{p.name}-c={p.central_charge}",
+)
+def test_unordered_pairs_match_ordered_pair_loop(presentation):
+    # Above level 0 the span forms one circle product per unordered pair of
+    # distinct basis monomials; skew symmetry modulo the translation rows
+    # makes the other order and the diagonal redundant. This grid licenses
+    # that.
+    for level in range(1, 4):
+        for cutoff in range(13):
+            _assert_context_matches_ordered_pairs(presentation, level, cutoff)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(-60, 60), st.integers(1, 12), st.integers(1, 3), st.integers(0, 8))
+def test_unordered_pairs_match_ordered_pair_loop_at_any_charge(p, q, level, cutoff):
+    presentation = builtin_presentation("virasoro", Fraction(p, q))
+    _assert_context_matches_ordered_pairs(presentation, level, cutoff)
+
+
+@pytest.mark.parametrize("level", (0, 1, 2))
+@pytest.mark.parametrize("presentation", (HEIS, VIR), ids=("heisenberg", "virasoro"))
+def test_circle_product_is_skew_modulo_translation_rows(presentation, level):
+    # u o_n v + v o_n u lies in the span of the translation rows alone
+    # whenever the top weight wt(u) + wt(v) + 2n + 1 fits under the cutoff.
+    cutoff = 10
+    bound = cutoff - 2 * level - 1
+    translations = [translation_row(presentation, u) for u in basis_vectors(presentation, cutoff - 1)]
+    rows, pivots = rref((v.terms for v in translations), order=voa.monomial_order)
+    monos = [(w, m) for w, ms in voa.enumerate_basis(presentation, bound) for m in ms]
+    for i, (a, umono) in enumerate(monos):
+        for b, vmono in monos[i:]:
+            if a + b > bound:
+                continue
+            u, v = mono(presentation, *umono), mono(presentation, *vmono)
+            skew = circle_product(u, v, level) + circle_product(v, u, level)
+            assert not reduce_vector(skew.terms, rows, pivots), (umono, vmono)
+
+
+@pytest.mark.parametrize(
+    "level, cutoff, count", ((1, 10, 173), (1, 14, 1152), (2, 12, 271))
+)
+def test_level_span_row_counts(level, cutoff, count):
+    # Circle rows plus translation rows. The ordered pair loop built 300,
+    # 2144 and 398 here, so a return to it fails this test.
+    assert len(spanning_vectors(HEIS, level, cutoff)) == count
 
 
 @pytest.mark.parametrize(
