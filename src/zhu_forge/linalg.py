@@ -4,9 +4,9 @@ Rows are dicts from hashable keys to exact scalars with no zero entries.
 A stored scalar is an ``int``, or a ``Fraction`` only when its denominator
 is greater than 1 (:func:`exact`), so integral arithmetic never pays for
 ``Fraction``. :func:`add_scaled` is the one place where such a dict is
-updated, and :class:`Combination` wraps one over a presentation as the
-common base of states (:class:`zhu_forge.voa.FockVector`) and
-enveloping-algebra words (:class:`zhu_forge.modes.UEAExpression`).
+updated, :func:`rref` included, and :class:`Combination` wraps one over a
+presentation as the common base of states (:class:`zhu_forge.voa.FockVector`)
+and enveloping-algebra words (:class:`zhu_forge.modes.UEAExpression`).
 
 For row reduction a caller-supplied key function gives the total order on
 columns. The leading entry of a row is its maximal column. Reduced row
@@ -157,11 +157,11 @@ def rref(
     entries and a positive leading entry, its pivot, and the stored rows are
     in full RREF up to those scales: each holds exactly one pivot key, so
     subtracting one stored row never brings back another pivot key. A new
-    row is thus cleared of every pivot in one pass, by cross-multiplication,
-    which scales the new row only when the pivot does not divide its entry,
-    and its leading key is found once. The new pivot is then cleared from
-    the stored rows the same way. A row that has been updated is divided by
-    the gcd of its entries before it is stored.
+    row is thus cleared of every pivot, unit or not, in one pass of
+    :func:`_clear`, which scales the new row only when the pivot does not
+    divide its entry, and its leading key is found once. The new pivot is
+    then cleared from the stored rows the same way. A row that has been
+    updated is divided by the gcd of its entries before it is stored.
 
     ``rows`` is consumed one row at a time. With ``rank_cap`` set, no further
     row is pulled once that many pivots are stored: the caller guarantees
@@ -172,19 +172,7 @@ def rref(
     for raw in rows:
         row = _integral(raw)
         for key in [k for k in row if k in pivot_rows]:
-            stored = pivot_rows[key]
-            if stored[key] != 1:
-                row = _clear(row, stored, key)
-                continue
-            # A unit pivot, the common case: add_scaled's loop, inlined
-            # and without its Fraction check, since every entry is an int.
-            value = row[key]
-            for k, v in stored.items():
-                new = row.get(k, 0) - v * value
-                if new:
-                    row[k] = new
-                else:
-                    del row[k]
+            row = _clear(row, pivot_rows[key], key)
         if not row:
             continue
         lead = max(row, key=order)
@@ -193,7 +181,6 @@ def rref(
             g = -g
         if g != 1:
             row = {k: v // g for k, v in row.items()}
-        pivot = row[lead]
         for key, other in pivot_rows.items():
             if lead in other:
                 other = _clear(other, row, lead)

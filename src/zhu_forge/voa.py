@@ -6,7 +6,8 @@ recipe for the conformal vector. A commutator is a tuple of
 :class:`BracketTerm` ``(coeff, target)``, a central term having target
 ``None`` and sitting on ``m+n = 0``. States live in the induced vacuum
 module; its basis is the set of normally ordered creation monomials,
-enumerated by restricted partitions of the conformal weight.
+enumerated by restricted partitions of the conformal weight, one memo table
+entry per weight (``_weight_basis``).
 
 Mode index convention: the stored index of a generator mode ``g(m)`` is
 chosen so that ``g(m)`` shifts conformal weight by ``-m``. For a weight-1
@@ -31,7 +32,7 @@ report; the axiom checks on this structure are ``suites.axiom_suite``.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -219,32 +220,12 @@ def enumerate_basis(presentation: Presentation, max_weight: int) -> list[tuple[i
     """Canonical ordered basis of every weight space up to ``max_weight``.
 
     Monomials of a given weight are listed in ascending tuple order, the
-    same order used for row reduction pivots and reports.
+    same order used for row reduction pivots and reports. Each call returns
+    fresh lists, read from the memo table :func:`_weight_basis`.
     """
     if max_weight < 0:
         raise ValueError("max_weight must be nonnegative")
-    creation_pairs = sorted(
-        (m, gen)
-        for gen in presentation.generators
-        for m in range(-max_weight, presentation.vacuum_thresholds[gen])
-    )
-
-    def extend(remaining: int, min_index: int) -> Iterator[Monomial]:
-        if remaining == 0:
-            yield ()
-            return
-        for idx in range(min_index, len(creation_pairs)):
-            m, gen = creation_pairs[idx]
-            if -m > remaining:
-                continue
-            for rest in extend(remaining + m, idx):
-                yield ((m, gen),) + rest
-
-    out: list[tuple[int, list[Monomial]]] = []
-    for w in range(max_weight + 1):
-        monos = sorted(extend(w, 0))
-        out.append((w, monos))
-    return out
+    return [(w, list(_weight_basis(presentation, w))) for w in range(max_weight + 1)]
 
 
 def basis_vectors(presentation: Presentation, max_weight: int) -> list[FockVector]:
@@ -259,10 +240,6 @@ def basis_vectors(presentation: Presentation, max_weight: int) -> list[FockVecto
 Combo = tuple[tuple[Monomial, Fraction], ...]
 
 
-def _freeze(acc: dict[Monomial, Fraction]) -> Combo:
-    return tuple((m, c) for m, c in sorted(acc.items()) if c)
-
-
 # Every memo table of the package, registered where it is defined, so that
 # clear_caches reaches the tables even where a name is later rebound.
 _MEMOS: list = []
@@ -273,6 +250,23 @@ def memo(fn):
     cached = lru_cache(maxsize=None)(fn)
     _MEMOS.append(cached)
     return cached
+
+
+@memo
+def _weight_basis(presentation: Presentation, weight: int) -> tuple[Monomial, ...]:
+    """The basis monomials of weight ``weight``, ascending: a creation mode
+    ``(m, g)``, ``-weight <= m`` below ``g``'s vacuum threshold, followed by
+    a monomial of weight ``weight + m`` that is empty or starts no lower."""
+    if weight == 0:
+        return ((),)
+    monos = [
+        ((m, gen),) + rest
+        for gen in presentation.generators
+        for m in range(-weight, presentation.vacuum_thresholds[gen])
+        for rest in _weight_basis(presentation, weight + m)
+        if not rest or (m, gen) <= rest[0]
+    ]
+    return tuple(sorted(monos))
 
 
 @memo
@@ -302,7 +296,7 @@ def _apply_mono(presentation: Presentation, gen: str, m: int, mono: Monomial) ->
                 add_scaled(acc, ((tail, term.coeff(m, head_m)),))
         elif coeff := term.coeff(m, head_m):
             add_scaled(acc, _apply_mono(presentation, term.target, m + head_m, tail), coeff)
-    return _freeze(acc)
+    return tuple(acc.items())
 
 
 @memo
@@ -346,7 +340,7 @@ def _mode_mono(presentation: Presentation, umono: Monomial, n: int, vmono: Monom
             sign2 = -coeff if ell % 2 == 0 else coeff
             for mono2, c2 in _apply_mono(presentation, head_g, i - gen_weight + 1, vmono):
                 add_scaled(acc, _mode_mono(presentation, rest, ell + n - i, mono2), sign2 * c2)
-    return _freeze(acc)
+    return tuple(acc.items())
 
 
 def apply_generator_mode(
@@ -404,12 +398,14 @@ def zero_mode(u: FockVector, x: FockVector) -> FockVector:
 
 
 def clear_caches() -> None:
-    """Empty every table registered with :func:`memo`: normal ordering
-    (``_apply_mono``), the mode action (``_mode_mono``), the star
-    coefficients ``zhu._star_coefficients``, ``L(-1)`` on basis monomials
+    """Empty every table registered with :func:`memo`: the basis of each
+    weight (``_weight_basis``), normal ordering (``_apply_mono``), the mode
+    action (``_mode_mono``), the star coefficients
+    ``zhu._star_coefficients``, ``L(-1)`` on basis monomials
     ``zhu._translate_mono``, ``zhu.build_zhu_context``, the C2 pivots
     ``zhu._c2_pivots``, and the pair rewrite's ``modes._pair_coefficients``
-    and head vectors ``modes._pair_head``. The shared built-in
-    presentations are kept."""
+    and head vectors ``modes._pair_head``. A table keeps terms in the order
+    they were accumulated; a reader that needs an order sorts. The shared
+    built-in presentations are kept."""
     for table in _MEMOS:
         table.cache_clear()

@@ -60,7 +60,6 @@ from .voa import (
     Monomial,
     Presentation,
     _apply_mono,
-    _freeze,
     _mode_mono,
     basis_vectors,
     enumerate_basis,
@@ -183,7 +182,7 @@ def _translate_mono(presentation: Presentation, mono: Monomial) -> Combo:
     add_scaled(acc, _apply_mono(presentation, gen, m - 1, rest), -index)
     for mono2, c2 in _translate_mono(presentation, rest):
         add_scaled(acc, _apply_mono(presentation, gen, m, mono2), c2)
-    return _freeze(acc)
+    return tuple(acc.items())
 
 
 @dataclass(frozen=True)
@@ -400,6 +399,8 @@ def omega_subspace(presentation: Presentation, level: int, cutoff: int) -> list[
     block reads every row. The kernel vectors come out homogeneous and in
     ``monomial_order`` of their free monomials.
     """
+    if level < 0 or cutoff < 0:
+        raise ValueError("level and cutoff must be nonnegative")
     basis = enumerate_basis(presentation, cutoff)
     vectors: list[FockVector] = []
     for weight, block in basis:

@@ -290,6 +290,9 @@ def test_every_lru_cache_is_a_registered_memo():
     for (module_name, name), cache in caches.items():
         if (module_name, name) != ("zhu_forge.voa", "_intern_builtin"):
             assert id(cache) in registered, f"{module_name}.{name} is not in voa._MEMOS"
+    # Every table is documented where the tables are emptied.
+    for table in voa._MEMOS:
+        assert table.__name__ in voa.clear_caches.__doc__, f"{table.__name__} is undocumented"
 
 
 def test_appendix_suite_draws_s_with_a_valid_depth():

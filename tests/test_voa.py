@@ -101,14 +101,17 @@ def to_kernel(state):
 
 
 def test_heisenberg_basis_counts_match_partitions():
-    table = enumerate_basis(HEIS, 7)
+    table = enumerate_basis(HEIS, 14)
     for w, monos in table:
         assert len(monos) == len(partitions(w))
     assert len(table[3][1]) == 3
+    # The lists are fresh copies of a memo table: mutating one is harmless.
+    table[3][1].clear()
+    assert len(enumerate_basis(HEIS, 3)[3][1]) == 3
 
 
 def test_virasoro_basis_counts_match_restricted_partitions():
-    table = enumerate_basis(VIR, 7)
+    table = enumerate_basis(VIR, 14)
     for w, monos in table:
         expected = [p for p in partitions(w) if all(part >= 2 for part in p)]
         assert len(monos) == len(expected)

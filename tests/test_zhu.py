@@ -484,8 +484,20 @@ def test_level_span_row_counts(level, cutoff, count):
         lambda: c2_dims(HEIS, -1),
         lambda: build_zhu_context(HEIS, -1, 3),
         lambda: build_zhu_context(HEIS, 0, -1),
+        lambda: omega_subspace(HEIS, -1, 4),
+        lambda: omega_subspace(HEIS, 0, -1),
+        lambda: omega_suite(HEIS, -2, 3),
     ],
-    ids=["span-cutoff", "span-level", "c2-cutoff", "context-level", "context-cutoff"],
+    ids=[
+        "span-cutoff",
+        "span-level",
+        "c2-cutoff",
+        "context-level",
+        "context-cutoff",
+        "omega-level",
+        "omega-cutoff",
+        "omega-suite-level",
+    ],
 )
 def test_negative_level_or_cutoff_is_refused(build):
     with pytest.raises(ValueError, match="^level and cutoff must be nonnegative$"):
