@@ -29,8 +29,16 @@ The pair rewrite's coefficients are a memo table keyed by ``wt(u)``, ``s``
 and the depth (``_pair_coefficients``). Its head is the mode ``J_{t-s}`` of
 a vector whose terms are tabulated per monomial pair, ``s`` and depth, not
 ``t`` (``_pair_head``), so :func:`reduce_word` forms each distinct head once
-per process. Two-letter words ``J_p(u) J_q(v)`` are built straight from
-pairs of terms (:func:`_add_two_letters`).
+per process.
+
+The product side, the pair rewrite's two tail families and the reordering
+residual are sums of two-letter words ``J_{D-q}(x) J_q(y)`` of one total
+shift ``D``, with ``(x, y)`` either ``(u, v)`` or ``(v, u)`` and an integer
+coefficient that depends on neither. Each is summed first as an integer
+table keyed by the order and ``q``; only the nonzero entries are then
+expanded into words, once each, from pairs of terms (:func:`_add_table_words`,
+:func:`_add_two_letters`). In the residual nearly every entry cancels in
+the table, before any word is built.
 
 No relation between modes of ``u`` and modes of ``L(-1)u`` is applied to
 words automatically; identities are checked either per-word with identical
@@ -41,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .combinatorics import binomial
 from .linalg import Combination, add_scaled
@@ -180,7 +188,8 @@ def expand_product_side(
     the retained right factors; every omitted word has a right factor of
     shift above the bound, hence a filtration witness of suffix degree below
     ``-right_bound``. For ``ell >= 0`` the sum is finite and the bound is
-    ignored.
+    ignored. The words are those of the integer table
+    :func:`_product_side_table`, expanded once per entry.
     """
     u._check_same(v)
     if ell < 0:
@@ -191,20 +200,44 @@ def expand_product_side(
                 f"right_bound {right_bound} would drop the leading i=0 terms "
                 f"(needs at least max(m, n) = {max(m, n)})"
             )
-        i_top = right_bound - min(m, n)
-    else:
-        i_top = ell
     acc: dict[Word, Fraction] = {}
-    for i in range(i_top + 1):
-        c = binomial(ell, i)
-        if not c:
-            continue
-        coeff = -c if i % 2 else c
-        if ell >= 0 or n + i <= right_bound:
-            _add_two_letters(acc, u, m + ell - i, v, n + i, coeff)
-        if ell >= 0 or m + i <= right_bound:
-            _add_two_letters(acc, v, n + ell - i, u, m + i, -coeff if ell % 2 == 0 else coeff)
+    _add_table_words(acc, u, v, m + n + ell, _product_side_table(m, n, ell, right_bound))
     return UEAExpression._adopt(u.presentation, acc)
+
+
+def _product_side_table(m: int, n: int, ell: int, right_bound: int | None):
+    """The ``(key, c)`` entries of :func:`expand_product_side` as a table of
+    two-letter words of total shift ``m+n+ell`` (see :func:`_add_table_words`):
+    ``(False, n+i)`` for ``J_{m+ell-i}(u) J_{n+i}(v)`` and ``(True, m+i)``
+    for ``J_{n+ell-i}(v) J_{m+i}(u)``, each family stopping at right shift
+    ``right_bound`` when ``ell < 0``. Distinct ``i`` give distinct keys."""
+    i_top = ell if ell >= 0 else right_bound - min(m, n)
+    swapped_sign = 1 if ell % 2 else -1
+    c = 1  # (-1)^i C(ell, i), updated exactly from i to i + 1
+    for i in range(i_top + 1):
+        if ell >= 0 or n + i <= right_bound:
+            yield (False, n + i), c
+        if ell >= 0 or m + i <= right_bound:
+            yield (True, m + i), swapped_sign * c
+        c = c * (i - ell) // (i + 1)
+
+
+def _add_table_words(
+    acc: dict[Word, Fraction],
+    u: FockVector,
+    v: FockVector,
+    total: int,
+    table: Iterable[tuple[tuple[bool, int], int]],
+) -> None:
+    """``acc +=`` the words of an integer table of two-letter words of total
+    shift ``total``, given as ``(key, c)`` entries with distinct keys: the
+    entry ``((swapped, q), c)`` stands for ``c * J_{total-q}(u) J_q(v)``, or
+    ``c * J_{total-q}(v) J_q(u)`` when ``swapped``. Such a coefficient does
+    not depend on ``u`` or ``v``, so callers sum their coefficients per key
+    first and each entry is expanded once (:func:`_add_two_letters`)."""
+    for (swapped, q), c in table:
+        x, y = (v, u) if swapped else (u, v)
+        _add_two_letters(acc, x, total - q, y, q, c)
 
 
 def evaluate_expression(expression: UEAExpression, x: FockVector) -> FockVector:
@@ -247,30 +280,33 @@ def reordering_residual(
 
     word by word, keeping only words whose two shifts both lie in
     ``[-bound, bound]``. The result is the (expected zero) difference.
+    Every word has total shift ``t - s``, so the difference is summed as one
+    integer table over the order of ``u`` and ``v`` and the right shift, and
+    only its nonzero entries are expanded into words before the clip.
     Requires ``depth >= 0`` and ``depth + s >= 0``.
     """
     _check_pair_hypothesis(s, depth)
     u._check_same(v)
-    presentation = u.presentation
 
-    # Accumulate lhs - rhs in one dict; clipping is a projection, so it can
-    # be applied to the difference. A product-side word omitted at right
-    # bound ``bound`` has a right shift above it, so the clip drops it anyway;
-    # ``depth + 1`` and ``t + depth`` keep the bound at least ``max(m, n)``.
-    # The tails stop at the window's edge.
+    # lhs - rhs is summed in one table; clipping is a projection, so it can
+    # be applied to the difference's words. A product-side word omitted at
+    # right bound ``bound`` has a right shift above it, so the clip drops it
+    # anyway; ``depth + 1`` and ``t + depth`` keep the bound at least
+    # ``max(m, n)``. The tails stop at the window's edge.
     right_bound = max(bound, depth + 1, t + depth)
-    acc: dict[Word, Fraction] = {}
+    table: dict[tuple[bool, int], int] = {}
     for j in range(depth + 1):
-        c = binomial(-depth - s - 1, j)
-        side = expand_product_side(u, v, depth + 1, t + j, -depth - s - 1 - j, right_bound)
-        add_scaled(acc, side.terms.items(), c)
-
-    _add_two_letters(acc, u, -s, v, t, -1)
-    _add_pair_tails(
-        acc, s, t, depth, u, v, bound - max(s, t), bound - depth - 1 - max(0, s - t)
+        side = _product_side_table(depth + 1, t + j, -depth - s - 1 - j, right_bound)
+        add_scaled(table, side, binomial(-depth - s - 1, j))
+    add_scaled(table, (((False, t), -1),))
+    tails = _pair_tail_table(
+        s, t, depth, bound - max(s, t), bound - depth - 1 - max(0, s - t)
     )
+    add_scaled(table, tails)
+    acc: dict[Word, Fraction] = {}
+    _add_table_words(acc, u, v, t - s, table.items())
     kept = {w: c for w, c in acc.items() if all(-bound <= shift <= bound for _, shift in w)}
-    return UEAExpression._adopt(presentation, kept)
+    return UEAExpression._adopt(u.presentation, kept)
 
 
 def pair_expansion(
@@ -296,7 +332,9 @@ def pair_expansion(
     carry filtration witnesses at suffix degree at most ``-(depth+1+t)`` and
     ``-(depth+1)`` respectively. ``right_bound=None`` discards both tails
     and returns the exact head; an integer retains tail terms whose right
-    factor shift is at most the bound. Requires ``depth >= 0``,
+    factor shift is at most the bound, built as one integer table of
+    two-letter words of total shift ``t - s`` (:func:`_pair_tail_table`) and
+    expanded once per entry. Requires ``depth >= 0``,
     ``depth + s >= 0`` and, for a finite head, nonnegative weights
     (guaranteed here).
     """
@@ -304,7 +342,8 @@ def pair_expansion(
     terms = mode_sum(u, v, lambda a, b: _pair_coefficients(a, s, depth))
     acc = dict(_letters(terms.items(), t - s))
     if right_bound is not None:
-        _add_pair_tails(acc, s, t, depth, u, v, right_bound - t, right_bound - depth - 1)
+        tails = _pair_tail_table(s, t, depth, right_bound - t, right_bound - depth - 1)
+        _add_table_words(acc, u, v, t - s, tails)
     return UEAExpression._adopt(u.presentation, acc)
 
 
@@ -341,33 +380,24 @@ def _check_pair_hypothesis(s: int, depth: int) -> None:
         raise ValueError("hypothesis depth + s >= 0 violated")
 
 
-def _add_pair_tails(
-    acc: dict[Word, Fraction],
-    s: int,
-    t: int,
-    depth: int,
-    u: FockVector,
-    v: FockVector,
-    k_top: int,
-    i_top: int,
-) -> None:
-    """Add both tail families of the pair rewrite to ``acc``: right factors
-    ``J_{k+t}(v)`` for ``depth < k <= k_top`` and ``J_{depth+1+i}(u)`` for
-    ``0 <= i <= i_top``, each coefficient summed over ``j`` first."""
+def _pair_tail_table(s: int, t: int, depth: int, k_top: int, i_top: int):
+    """The ``(key, c)`` entries of both tail families of the pair rewrite, as
+    a table of two-letter words of total shift ``t-s`` (see
+    :func:`_add_table_words`): right factors ``J_{k+t}(v)`` for ``depth < k
+    <= k_top`` and ``J_{depth+1+i}(u)`` for ``0 <= i <= i_top``, each
+    coefficient summed over ``j`` first. Distinct entries have distinct keys."""
+    outer = [binomial(depth + s + j, j) for j in range(depth + 1)]
     for k in range(depth + 1, k_top + 1):
         c = sum(
-            (-1 if j % 2 else 1) * binomial(depth + s + j, j) * binomial(depth + s + k, k - j)
-            for j in range(depth + 1)
+            (-1 if j % 2 else 1) * a * binomial(depth + s + k, k - j) for j, a in enumerate(outer)
         )
         if c:
-            _add_two_letters(acc, u, -k - s, v, k + t, -c)
+            yield (False, k + t), -c
     sign = -1 if (depth + s + 1) % 2 else 1
     for i in range(i_top + 1):
-        c = sum(
-            binomial(depth + s + j, j) * binomial(depth + s + j + i, i) for j in range(depth + 1)
-        )
+        c = sum(a * binomial(depth + s + j + i, i) for j, a in enumerate(outer))
         if c:
-            _add_two_letters(acc, v, t - depth - s - 1 - i, u, depth + 1 + i, sign * c)
+            yield (True, depth + 1 + i), sign * c
 
 
 # ---------------------------------------------------------------------------

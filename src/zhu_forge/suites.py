@@ -265,7 +265,10 @@ def check_appendix_ranges(
     """Raise ``ValueError`` unless every range is nonempty, some ``s`` and
     depth in them satisfy ``depth + s >= 0`` (so that sampling can succeed),
     no depth is negative (the identity's ``j``-sum would be empty), the
-    shift bound is nonnegative and at least one sample is drawn."""
+    shift bound is nonnegative, at least one sample is drawn and some such
+    ``s`` and some ``t`` satisfy ``|t - s| <= 2 * shift_bound``. A word
+    ``J_p(x) J_q(y)`` of the residual has ``p + q = t - s``, so without such
+    a pair no word lies in the window and the grid would check nothing."""
     if shift_bound < 0:
         raise ValueError(f"shift bound {shift_bound} is negative")
     if operator_samples < 1:
@@ -280,6 +283,12 @@ def check_appendix_ranges(
         )
     if depth_range[0] < 0:
         raise ValueError(f"depth N in {depth_range[0]}..{depth_range[1]} is negative")
+    s_lo, s_hi = max(s_range[0], -depth_range[1]), s_range[1]
+    if max(t_range[0] - s_hi, s_lo - t_range[1]) > 2 * shift_bound:
+        raise ValueError(
+            f"no s in {s_lo}..{s_hi} and t in {t_range[0]}..{t_range[1]} satisfy "
+            f"|t - s| <= 2 * shift bound = {2 * shift_bound}, so no word is in the window"
+        )
 
 
 def appendix_suite(
@@ -293,11 +302,15 @@ def appendix_suite(
 ) -> ReportDocument:
     """Combinatorial reordering residual grid plus the operator identity.
 
-    The residual is compared per-word over the full (s, t, depth) grid with
-    both word shifts bounded; the rewrite of a mode pair is then checked as
-    an operator identity on sampled tuples against direct evaluation. Each
-    sample draws ``s`` from ``[max(s_lo, -N_hi), s_hi]`` so that a depth with
-    ``N + s >= 0`` exists; see :func:`check_appendix_ranges`.
+    The residual is compared per-word over the (s, t, depth) grid with both
+    word shifts bounded by ``shift_bound``. A tuple is left out of the grid
+    and of its ``tuples`` count when ``depth + s < 0`` (outside the
+    identity's hypothesis) or ``|t - s| > 2 * shift_bound`` (no word of total
+    shift ``t - s`` has both shifts in the window). The rewrite of a mode
+    pair is then checked as an operator identity on sampled tuples against
+    direct evaluation. Each sample draws ``s`` from ``[max(s_lo, -N_hi),
+    s_hi]`` so that a depth with ``N + s >= 0`` exists; see
+    :func:`check_appendix_ranges`.
     """
     check_appendix_ranges(s_range, t_range, depth_range, shift_bound, operator_samples)
     doc = ReportDocument.for_suite(
@@ -318,7 +331,7 @@ def appendix_suite(
     for s in range(s_range[0], s_range[1] + 1):
         for t in range(t_range[0], t_range[1] + 1):
             for depth in range(depth_range[0], depth_range[1] + 1):
-                if depth + s < 0:
+                if depth + s < 0 or abs(t - s) > 2 * shift_bound:
                     continue
                 grid += 1
                 residual = reordering_residual(s, t, depth, u, u, shift_bound)

@@ -275,6 +275,14 @@ def test_appendix_range_flags():
     assert doc["summary"]["fail"] == 0
 
 
+def test_appendix_shift_bound_zero_counts_only_equal_shift_tuples():
+    # A kept word J_p(x) J_q(y) has p + q = t - s with |p|, |q| <= bound, so
+    # at bound 0 only t = s is checked: 3 + 4 + 5 + 5 + 5 depths over s.
+    result = run_cli("appendix", "--shift-bound", "0", "--samples", "3")
+    grid = {check["name"]: check for check in json.loads(result.stdout)["checks"]}
+    assert grid["reordering_residual_grid"]["params"]["tuples"] == 22
+
+
 def test_negative_fractional_central_charge_is_a_value():
     # argparse alone reads "-22/5" as a flag; the Lee-Yang charge must parse.
     result = run_cli(
@@ -505,6 +513,9 @@ def test_usage_error_exit_code():
         ["appendix", "--shift-bound", "-1"],
         ["appendix", "--samples", "-3"],
         ["appendix", "--s", "1..1", "--t", "0..0", "--N", "-1..-1", "--samples", "3"],
+        ["appendix", "--t", "30..30"],
+        # Only s in -1..0 has a depth; s = -3 alone would be within 2 of t.
+        ["appendix", "--s", "-3..0", "--t", "-4..-4", "--N", "0..1", "--shift-bound", "1"],
         ["zhu", "--level", "-1"],
         ["axioms", "--cutoff", "-1"],
     ],
@@ -516,6 +527,8 @@ def test_usage_error_exit_code():
         "appendix-negative-shift-bound",
         "appendix-no-samples",
         "appendix-negative-depth",
+        "appendix-no-word-in-window",
+        "appendix-no-word-in-window-with-a-depth",
         "zhu-level",
         "axioms-cutoff",
     ],

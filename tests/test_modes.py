@@ -35,6 +35,8 @@ from zhu_forge import (
     word_expression,
 )
 from zhu_forge import cli, enumerate_basis, voa
+from zhu_forge.combinatorics import binomial
+from zhu_forge.linalg import add_scaled
 from zhu_forge import modes as modes_module
 from zhu_forge.modes import UEAExpression
 from zhu_forge.voa import zero_mode
@@ -787,6 +789,102 @@ def test_add_two_letters_matches_word_expression(data, presentation, p, q, coeff
     modes_module._add_two_letters(acc, u, p, v, q, coeff)
     expected = base + coeff * word_expression(presentation, [(u, p), (v, q)])
     assert UEAExpression(presentation, acc) == expected
+
+
+# --- two-letter tables against the per-word loops ------------------------------
+#
+# The product side, the pair tails and the reordering residual are built as
+# integer tables keyed by (swapped, right shift) and expanded once per entry.
+# The references below build the same sums one (i, j) or (k, j) word family
+# at a time, each through its own _add_two_letters call.
+
+LEE_YANG = builtin_presentation("virasoro", Fraction(-22, 5))
+
+
+def per_word_product_side(u, v, m, n, ell, right_bound=None):
+    i_top = ell if ell >= 0 else right_bound - min(m, n)
+    acc = {}
+    for i in range(i_top + 1):
+        c = binomial(ell, i)
+        if not c:
+            continue
+        coeff = -c if i % 2 else c
+        if ell >= 0 or n + i <= right_bound:
+            modes_module._add_two_letters(acc, u, m + ell - i, v, n + i, coeff)
+        if ell >= 0 or m + i <= right_bound:
+            swapped = -coeff if ell % 2 == 0 else coeff
+            modes_module._add_two_letters(acc, v, n + ell - i, u, m + i, swapped)
+    return UEAExpression(u.presentation, acc)
+
+
+def add_per_word_pair_tails(acc, s, t, depth, u, v, k_top, i_top):
+    for k in range(depth + 1, k_top + 1):
+        c = sum(
+            (-1 if j % 2 else 1) * binomial(depth + s + j, j) * binomial(depth + s + k, k - j)
+            for j in range(depth + 1)
+        )
+        if c:
+            modes_module._add_two_letters(acc, u, -k - s, v, k + t, -c)
+    sign = -1 if (depth + s + 1) % 2 else 1
+    for i in range(i_top + 1):
+        c = sum(
+            binomial(depth + s + j, j) * binomial(depth + s + j + i, i) for j in range(depth + 1)
+        )
+        if c:
+            modes_module._add_two_letters(acc, v, t - depth - s - 1 - i, u, depth + 1 + i, sign * c)
+
+
+def per_word_residual(s, t, depth, u, v, bound):
+    right_bound = max(bound, depth + 1, t + depth)
+    acc = {}
+    for j in range(depth + 1):
+        side = per_word_product_side(u, v, depth + 1, t + j, -depth - s - 1 - j, right_bound)
+        add_scaled(acc, side.terms.items(), binomial(-depth - s - 1, j))
+    modes_module._add_two_letters(acc, u, -s, v, t, -1)
+    k_top, i_top = bound - max(s, t), bound - depth - 1 - max(0, s - t)
+    add_per_word_pair_tails(acc, s, t, depth, u, v, k_top, i_top)
+    kept = {w: c for w, c in acc.items() if all(-bound <= k <= bound for _, k in w)}
+    return UEAExpression(u.presentation, kept)
+
+
+@st.composite
+def argument_pairs(draw):
+    """``(u, v)`` from :func:`vectors_with_vacuum` on one presentation, with
+    ``u is v`` in about half of the draws."""
+    presentation = draw(st.sampled_from((HEIS, VIR, LEE_YANG)))
+    u = draw(vectors_with_vacuum(presentation))
+    return u, (u if draw(st.booleans()) else draw(vectors_with_vacuum(presentation)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), argument_pairs(), st.integers(-3, 3), st.integers(-3, 3), st.integers(-1, 10))
+def test_reordering_residual_table_matches_the_per_word_loops(data, pair, s, t, bound):
+    depth = data.draw(st.integers(max(0, -s), 4), label="depth")
+    u, v = pair
+    got = reordering_residual(s, t, depth, u, v, bound)
+    assert got == per_word_residual(s, t, depth, u, v, bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), argument_pairs(), st.integers(-3, 3), st.integers(-3, 3), st.integers(-4, 3))
+def test_product_side_table_matches_the_per_word_loop(data, pair, m, n, ell):
+    bound = st.integers(max(m, n), max(m, n) + 6)
+    right_bound = data.draw(bound if ell < 0 else st.none() | bound, label="right_bound")
+    u, v = pair
+    got = expand_product_side(u, v, m, n, ell, right_bound)
+    assert got == per_word_product_side(u, v, m, n, ell, right_bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), argument_pairs(), st.integers(-3, 3), st.integers(-3, 3), st.integers(-2, 8))
+def test_pair_tail_table_matches_the_per_word_loops(data, pair, s, t, right_bound):
+    depth = data.draw(st.integers(max(0, -s), 4), label="depth")
+    u, v = pair
+    # The head has no tails: with right_bound=None it is built per term.
+    acc = dict(pair_expansion(s, t, depth, u, v).terms)
+    add_per_word_pair_tails(acc, s, t, depth, u, v, right_bound - t, right_bound - depth - 1)
+    expected = UEAExpression(u.presentation, acc)
+    assert pair_expansion(s, t, depth, u, v, right_bound=right_bound) == expected
 
 
 def test_homomorphism_check_passes():

@@ -210,6 +210,45 @@ def test_appendix_suite_small_grid():
     assert grid["reordering_residual_grid"].params["tuples"] == 24
 
 
+def test_appendix_suite_leaves_out_tuples_with_no_word_in_the_window():
+    # A word J_p(x) J_q(y) of total shift t - s with |p|, |q| <= 2 needs
+    # |t - s| <= 4: of t in -6..6 at s = 0, only t in -4..4 are counted.
+    doc = appendix_suite(
+        HEIS, s_range=(0, 0), t_range=(-6, 6), depth_range=(0, 1),
+        shift_bound=2, operator_samples=1,
+    )
+    grid = {record.name: record for record in doc.sorted_checks()}
+    assert grid["reordering_residual_grid"].params["tuples"] == 9 * 2
+    with pytest.raises(ValueError, match="no word is in the window"):
+        appendix_suite(HEIS, s_range=(0, 0), t_range=(5, 6), shift_bound=2)
+
+
+def test_appendix_grid_expands_each_table_entry_once(monkeypatch):
+    # The residual sums its words as one integer table per (s, t, N) and
+    # expands only the entries that do not cancel: 118 two-letter
+    # expansions over the --N 0..2 grid, where one per (i, j) or (k, j)
+    # word family made 3447.
+    calls = Counter()
+    inside = []
+
+    def counting_residual(*args):
+        inside.append(True)
+        try:
+            return residual(*args)
+        finally:
+            inside.pop()
+
+    def counting_add_two_letters(*args):
+        calls["grid" if inside else "samples"] += 1
+        return add_two_letters(*args)
+
+    residual = rebind(monkeypatch, modes.reordering_residual, counting_residual)
+    add_two_letters = modes._add_two_letters
+    monkeypatch.setattr(modes, "_add_two_letters", counting_add_two_letters)
+    assert appendix_suite(HEIS, depth_range=(0, 2), seed=1).passed
+    assert calls["grid"] == 118
+
+
 def test_deep_tail_witness_suite_passes():
     doc = deep_tail_witness_suite(VIR, levels=(0, 1), weight_bound=3)
     assert doc.passed
