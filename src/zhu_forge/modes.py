@@ -42,7 +42,10 @@ the table, before any word is built.
 
 No relation between modes of ``u`` and modes of ``L(-1)u`` is applied to
 words automatically; identities are checked either per-word with identical
-arguments or semantically through :func:`evaluate_expression`.
+arguments or semantically through :func:`evaluate_expression`. The ``iso``
+suite (:func:`homomorphism_check`) takes the zero modes of its states and
+reductions on Ω_n as matrices in Ω_n's coordinates
+(``zhu.ZeroModeAction``), one row per distinct monomial.
 """
 
 from __future__ import annotations
@@ -65,9 +68,8 @@ from .voa import (
     mode_action,
     mode_sum,
     monomial_weight,
-    zero_mode,
 )
-from .zhu import build_zhu_context, omega_subspace, star_product
+from .zhu import ZeroModeAction, build_zhu_context, star_product
 
 # A word: ((monomial, shift), ...). The empty word is the scalar 1.
 Word = tuple[tuple[Monomial, int], ...]
@@ -385,19 +387,37 @@ def _pair_tail_table(s: int, t: int, depth: int, k_top: int, i_top: int):
     a table of two-letter words of total shift ``t-s`` (see
     :func:`_add_table_words`): right factors ``J_{k+t}(v)`` for ``depth < k
     <= k_top`` and ``J_{depth+1+i}(u)`` for ``0 <= i <= i_top``, each
-    coefficient summed over ``j`` first. Distinct entries have distinct keys."""
-    outer = [binomial(depth + s + j, j) for j in range(depth + 1)]
+    coefficient read from its memo table (:func:`_right_tail_coefficient`,
+    :func:`_reordered_tail_coefficient`). Distinct entries have distinct
+    keys."""
     for k in range(depth + 1, k_top + 1):
-        c = sum(
-            (-1 if j % 2 else 1) * a * binomial(depth + s + k, k - j) for j, a in enumerate(outer)
-        )
-        if c:
+        if c := _right_tail_coefficient(s, depth, k):
             yield (False, k + t), -c
     sign = -1 if (depth + s + 1) % 2 else 1
     for i in range(i_top + 1):
-        c = sum(a * binomial(depth + s + j + i, i) for j, a in enumerate(outer))
-        if c:
+        if c := _reordered_tail_coefficient(s, depth, i):
             yield (True, depth + 1 + i), sign * c
+
+
+@memo
+def _right_tail_coefficient(s: int, depth: int, k: int) -> int:
+    """``c = sum_j (-1)^j C(depth+s+j, j) C(depth+s+k, k-j)`` over ``0 <= j
+    <= depth``; :func:`_pair_tail_table` holds ``-c`` at the word
+    ``J_{-k-s}(u) J_{k+t}(v)``, for every ``t``."""
+    return sum(
+        (-1) ** j * binomial(depth + s + j, j) * binomial(depth + s + k, k - j)
+        for j in range(depth + 1)
+    )
+
+
+@memo
+def _reordered_tail_coefficient(s: int, depth: int, i: int) -> int:
+    """``c = sum_j C(depth+s+j, j) C(depth+s+j+i, i)`` over ``0 <= j <=
+    depth``; :func:`_pair_tail_table` holds ``(-1)^(depth+s+1) c`` at the
+    word ``J_{t-depth-s-1-i}(v) J_{depth+1+i}(u)``, for every ``t``."""
+    return sum(
+        binomial(depth + s + j, j) * binomial(depth + s + j + i, i) for j in range(depth + 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -593,8 +613,14 @@ def homomorphism_check(
     * ``reduce_word(J_0(u) J_0(v), level+1)`` equals ``u *_level v`` exactly;
     * the reduction of the commutator word equals the star commutator
       modulo the truncated level ideal;
-    * ``o(u) o(v)`` and the zero mode of the reduction (``voa.zero_mode``)
-      act identically on the kernel subspace :func:`zhu.omega_subspace`.
+    * ``o(u) o(v)`` and the zero mode of the reduction act identically on
+      the kernel subspace :func:`zhu.omega_subspace`, compared as matrices
+      in its coordinates (:class:`zhu.ZeroModeAction`): for each basis
+      vector ``x`` in turn, ``M(u) M(v) e_x`` against column ``x`` of
+      ``M(reduction)``. The first ``x`` that differs is the witness, and an
+      image that leaves the subspace where a column is needed is a failure.
+      Where every image stays in the subspace, equality of coordinates is
+      equality in V.
 
     Products, reductions and product verdicts are tabulated once per ordered
     pair. Where ``(u, v)`` passes the product check, its commutator
@@ -602,14 +628,14 @@ def homomorphism_check(
     nonzero exactly when ``(v, u)`` fails it: only then is it formed.
     """
     states = basis_vectors(presentation, weight_bound)
-    omega_vectors = omega_subspace(presentation, level, weight_bound)
+    action = ZeroModeAction(presentation, level, weight_bound)
     stars = [[star_product(u, v, level) for v in states] for u in states]
     reduced = [
         [reduce_word(presentation, [(u, 0), (v, 0)], level + 1)[0] for v in states]
         for u in states
     ]
     matches = [[got == expected for got, expected in zip(*rows)] for rows in zip(reduced, stars)]
-    o_v_x = [[zero_mode(v, x) for x in omega_vectors] for v in states]
+    matrices = [action.matrix(v) for v in states]
     failures_product = []
     failures_commutator = []
     failures_semantic = []
@@ -626,9 +652,10 @@ def homomorphism_check(
                 if build_zhu_context(presentation, level, cutoff).reduce(difference):
                     failures_commutator.append({"u": format_element(u), "v": format_element(v)})
 
-            got = reduced[i][j]
-            for x, image in zip(omega_vectors, o_v_x[j]):
-                if zero_mode(u, image) != zero_mode(got, x):
+            got = action.matrix(reduced[i][j])
+            for k, x in enumerate(action.vectors):
+                product = action.apply(matrices[i], matrices[j][k])
+                if product is None or product != got[k]:
                     failures_semantic.append(dict(zip("uvx", map(format_element, (u, v, x)))))
                     break
 

@@ -30,7 +30,7 @@ import random
 from fractions import Fraction
 from itertools import chain
 
-from .linalg import add_scaled, exact, reduce_vector, rref
+from .linalg import add_scaled, exact
 from .modes import (
     evaluate_expression,
     expand_iterate_side,
@@ -47,13 +47,11 @@ from .voa import (
     basis_vectors,
     format_element,
     mode_action,
-    monomial_order,
-    zero_mode,
 )
 from .zhu import (
+    ZeroModeAction,
     ZhuContext,
     build_zhu_context,
-    omega_subspace,
     star_product,
     star_top_weight,
     translation_row,
@@ -211,20 +209,21 @@ def inverse_system_check(presentation: Presentation, level: int, cutoff: int) ->
 def omega_suite(presentation: Presentation, level: int, cutoff: int) -> ReportDocument:
     """The kernel subspace of :func:`zhu.omega_subspace` at truncation.
 
-    Records its dimension; checks that the zero modes ``voa.zero_mode`` of
-    the basis states preserve it, the first ``(v, x)`` whose image leaves it
-    being the witness; and reports whether it equals the sum of the weight
-    spaces up to ``level``. The quantification is truncated at the cutoff,
-    which the report records.
+    Records its dimension; checks that the zero modes of the basis states
+    preserve it, reading each ``o(v)`` as the columns of
+    :class:`zhu.ZeroModeAction` (a column is ``None`` where the image of
+    ``x`` leaves the span), the first such ``(v, x)`` being the witness; and
+    reports whether it equals the sum of the weight spaces up to ``level``.
+    The quantification is truncated at the cutoff, which the report records.
     """
-    vectors = omega_subspace(presentation, level, cutoff)
+    action = ZeroModeAction(presentation, level, cutoff)
+    vectors = action.vectors
     basis = basis_vectors(presentation, cutoff)
-    kernel_rows, kernel_pivots = rref((x.terms for x in vectors), order=monomial_order)
     leaving = [
         {"v": format_element(v), "x": format_element(x)}
         for v in basis
-        for x in vectors
-        if reduce_vector(zero_mode(v, x).terms, kernel_rows, kernel_pivots)
+        for x, column in zip(vectors, action.matrix(v))
+        if column is None
     ]
     # No shift constrains the blocks of weight at most the level, so the
     # kernel contains their sum and equals it exactly when no more is found.

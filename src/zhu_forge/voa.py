@@ -19,14 +19,16 @@ bracket of two stored modes ``g(m), h(n)`` always lands on stored index
 
 General states expose their full tower of modes through
 :func:`mode_action`, computed with the iterate formula derived from the
-Jacobi identity. Weighted sums of modes (the zero mode, Zhu products,
-single-mode words) share one kernel, :func:`mode_sum`, which returns the
-terms of one vector; a caller that builds words gives them one shift.
+Jacobi identity. Weighted sums of modes (Zhu products, single-mode words)
+share one kernel, :func:`mode_sum`, which returns the terms of one vector;
+a caller that builds words gives them one shift. Zero modes are read from
+the mode table one basis monomial at a time, as matrices on Ω_n
+(``zhu.ZeroModeAction``).
 
 This module is the data model and the mode kernel: the presentations, the
 basis, normal ordering (``_apply_mono``), the mode table (``_mode_mono``,
-:func:`mode_sum`, :func:`mode_action`, :func:`zero_mode`) and the memo
-registry behind :func:`clear_caches`. It holds no check and builds no
+:func:`mode_sum`, :func:`mode_action`) and the memo registry behind
+:func:`clear_caches`. It holds no check and builds no
 report; the axiom checks on this structure are ``suites.axiom_suite``.
 """
 
@@ -390,21 +392,16 @@ def mode_action(u: FockVector, n: int, v: FockVector) -> FockVector:
     return FockVector._adopt(presentation, acc)
 
 
-def zero_mode(u: FockVector, x: FockVector) -> FockVector:
-    """The zero mode ``o(u) x``: each basis monomial ``m`` of ``u`` acts by
-    ``m_{wt(m)-1}``, so ``o`` is linear in ``u`` even when ``u`` is not
-    homogeneous, and the vacuum acts as the identity."""
-    return FockVector._adopt(u.presentation, mode_sum(u, x, lambda a, b: ((a - 1, 1),)))
-
-
 def clear_caches() -> None:
     """Empty every table registered with :func:`memo`: the basis of each
     weight (``_weight_basis``), normal ordering (``_apply_mono``), the mode
     action (``_mode_mono``), the star coefficients
     ``zhu._star_coefficients``, ``L(-1)`` on basis monomials
     ``zhu._translate_mono``, ``zhu.build_zhu_context``, the C2 pivots
-    ``zhu._c2_pivots``, and the pair rewrite's ``modes._pair_coefficients``
-    and head vectors ``modes._pair_head``. A table keeps terms in the order
+    ``zhu._c2_pivots``, and the pair rewrite's ``modes._pair_coefficients``,
+    head vectors ``modes._pair_head`` and tail coefficients
+    ``modes._right_tail_coefficient`` and
+    ``modes._reordered_tail_coefficient``. A table keeps terms in the order
     they were accumulated; a reader that needs an order sorts. The shared
     built-in presentations are kept."""
     for table in _MEMOS:

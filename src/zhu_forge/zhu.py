@@ -37,6 +37,9 @@ a time. A block's constraint rows are generated as the row reduction reads
 them, low-weight states first, and none is built once the block has no
 kernel left, which above the level is every Heisenberg block and most
 Virasoro blocks. It is returned as a plain list of vectors.
+:class:`ZeroModeAction` reads the zero modes on it in its own coordinates:
+one row per basis monomial, built once from the mode table, and a vector's
+matrix as the sum of its terms' rows.
 
 This module computes values only. The checks on them, the ideal containment
 between levels and the zero modes on the kernel subspace among them, live in
@@ -386,7 +389,8 @@ def omega_subspace(presentation: Presentation, level: int, cutoff: int) -> list[
     common kernel of ``J_k(v) = v_{wt(v)-1+k}`` over basis states ``v`` and
     shifts ``level < k <= cutoff``. The quantification is truncated at the
     cutoff. The checks on this subspace (``suites.omega_suite``, and the
-    action on it in ``modes.homomorphism_check``) read this value.
+    action on it in ``modes.homomorphism_check``) read it through
+    :class:`ZeroModeAction`.
 
     ``J_k`` lowers weight by exactly ``k``, so the kernel is solved one
     weight block at a time, with the shifts ``level < k <= weight``: a
@@ -408,3 +412,102 @@ def omega_subspace(presentation: Presentation, level: int, cutoff: int) -> list[
         for vec in kernel_basis(constraints, len(block)):
             vectors.append(FockVector(presentation, {block[col]: c for col, c in vec.items()}))
     return vectors
+
+
+# Coordinates ``{k: c}`` in the basis ``x_k`` of :func:`omega_subspace`;
+# ``None`` stands for a vector outside its span.
+Coordinates = dict[int, Fraction]
+
+
+class ZeroModeAction:
+    """The zero modes ``o(u)`` on the subspace of :func:`omega_subspace`, in
+    its own coordinates.
+
+    Dong, Li and Mason (J. Algebra 206, 1998) show that every ``o(u)``
+    preserves Ω_n, so ``o(u)`` restricted to it is a matrix ``M(u)``. Each
+    basis vector ``x_k`` comes from ``linalg.kernel_basis`` in free-column
+    form: its least monomial ``f_k = min(x_k.terms)`` has coefficient 1 in
+    ``x_k`` and 0 in every other basis vector, so a vector ``y`` of the span
+    has coordinates ``y[f_k]`` (:meth:`coordinates`), and membership is
+    checked by subtracting ``sum_k y[f_k] x_k``.
+
+    :meth:`row` holds, per basis monomial ``m``, the pairs ``(k, coords)``
+    over the ``x_k`` with ``o(m) x_k != 0``, built once per object from
+    ``voa._mode_mono``; ``coords`` is ``None`` when ``o(m) x_k`` leaves the
+    span. :meth:`matrix` sums the rows of a vector's terms into the columns
+    of ``M(u)``, a column being ``None`` when a term's image leaves the span.
+    """
+
+    def __init__(self, presentation: Presentation, level: int, cutoff: int):
+        self.presentation = presentation
+        self.vectors = omega_subspace(presentation, level, cutoff)
+        self._free = {min(x.terms): k for k, x in enumerate(self.vectors)}
+        self._rows: dict[Monomial, tuple[tuple[int, Coordinates | None], ...]] = {}
+
+    def coordinates(self, terms: dict[Monomial, Fraction]) -> Coordinates | None:
+        """The coordinates ``{k: c}`` of the vector with ``terms`` in the
+        basis ``x_k``, or ``None`` if it is not in their span."""
+        free = self._free
+        coords = {free[mono]: c for mono, c in terms.items() if mono in free}
+        residual = dict(terms)
+        for k, c in coords.items():
+            add_scaled(residual, self.vectors[k].terms.items(), -c)
+        return None if residual else coords
+
+    def row(self, mono: Monomial) -> tuple[tuple[int, Coordinates | None], ...]:
+        """The pairs ``(k, coordinates of o(mono) x_k)`` with a nonzero image,
+        ascending in ``k``; the zero mode of ``mono`` is ``mono_{wt-1}``."""
+        row = self._rows.get(mono)
+        if row is None:
+            row = self._rows[mono] = self._build_row(mono)
+        return row
+
+    def _build_row(self, mono: Monomial) -> tuple[tuple[int, Coordinates | None], ...]:
+        entries = []
+        for k in range(len(self.vectors)):
+            if image := self.image(mono, k):
+                entries.append((k, self.coordinates(image)))
+        return tuple(entries)
+
+    def image(self, mono: Monomial, k: int) -> dict[Monomial, Fraction]:
+        """The terms of ``o(mono) x_k`` in V, one ``voa._mode_mono`` read per
+        term of ``x_k``."""
+        presentation, n = self.presentation, monomial_weight(mono) - 1
+        image: dict[Monomial, Fraction] = {}
+        for xmono, c in self.vectors[k].terms.items():
+            add_scaled(image, _mode_mono(presentation, mono, n, xmono), c)
+        return image
+
+    def matrix(self, u: FockVector) -> list[Coordinates | None]:
+        """The columns of ``M(u)``: column ``k`` holds the coordinates of
+        ``o(u) x_k``, or is ``None`` if some term's image leaves the span."""
+        if u.presentation != self.presentation:
+            raise ValueError("vector belongs to a different presentation")
+        columns: list[Coordinates | None] = [{} for _ in self.vectors]
+        rows = self._rows
+        for mono, c in u.terms.items():
+            row = rows.get(mono)
+            if row is None:
+                row = self.row(mono)
+            for k, coords in row:
+                column = columns[k]
+                if column is None:
+                    continue
+                if coords is None:
+                    columns[k] = None
+                else:
+                    add_scaled(column, coords.items(), c)
+        return columns
+
+    @staticmethod
+    def apply(matrix: list[Coordinates | None], column: Coordinates | None) -> Coordinates | None:
+        """``matrix`` times the coordinate column ``column``, or ``None`` if
+        ``column`` or a column of ``matrix`` that it needs is ``None``."""
+        if column is None:
+            return None
+        out: Coordinates = {}
+        for k, c in column.items():
+            if matrix[k] is None:
+                return None
+            add_scaled(out, matrix[k].items(), c)
+        return out

@@ -15,8 +15,8 @@ from zhu_forge import (
 )
 from zhu_forge.linalg import Combination, add_scaled, kernel_basis, reduce_vector, rref
 from zhu_forge.modes import UEAExpression
-from zhu_forge.voa import FockVector, _mode_mono, monomial_order, zero_mode
-from zhu_forge.zhu import spanning_vectors
+from zhu_forge.voa import FockVector, _mode_mono, monomial_order
+from zhu_forge.zhu import ZeroModeAction, spanning_vectors
 
 
 def F(x):
@@ -164,9 +164,9 @@ def test_combination_stores_int_unless_denominator_exceeds_one():
 
 
 def test_products_and_reductions_stay_integer_first():
-    # The mode-action table, the products built on it and the row reduction
-    # keep every coefficient in integer-first form; Heisenberg needs no
-    # Fraction.
+    # The mode-action table, the products built on it, the zero-mode
+    # matrices on Omega_2 and the row reduction keep every coefficient in
+    # integer-first form; Heisenberg needs no Fraction.
     voa.clear_caches()
     for presentation in (HEIS, VIR):
         basis = basis_vectors(presentation, 4)
@@ -175,10 +175,12 @@ def test_products_and_reductions_stay_integer_first():
             for v in basis:
                 (umono,), (vmono,) = u.terms, v.terms
                 combos = [_mode_mono(presentation, umono, n, vmono) for n in range(-2, 5)]
-                products = [circle_product(u, v, 1), star_product(u, v, 1), zero_mode(u, v)]
+                products = [circle_product(u, v, 1), star_product(u, v, 1)]
                 products += [mode_action(u, n, v) for n in range(-2, 5)]
                 coefficients += [c for combo in combos for _, c in combo]
                 coefficients += [c for x in products for c in x.terms.values()]
+        action = ZeroModeAction(presentation, 2, 4)
+        coefficients += [c for u in basis for col in action.matrix(u) for c in col.values()]
         assert_exact(coefficients)
         if presentation is HEIS:
             assert all(type(c) is int for c in coefficients)

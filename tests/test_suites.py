@@ -9,7 +9,7 @@ import pytest
 
 import zhu_forge
 from zhu_forge import FockVector, builtin_presentation, cli, modes, voa, zhu
-from zhu_forge.linalg import Combination
+from zhu_forge.linalg import Combination, add_scaled
 from zhu_forge.report import ReportDocument
 from zhu_forge.suites import (
     StarTable,
@@ -128,17 +128,19 @@ def test_omega_reports_the_first_zero_mode_image_outside_the_subspace(monkeypatc
     # Omega_1 of the Heisenberg module is spanned by vac and a. Two zero-mode
     # images are pushed out of it by a weight-2 vector; the witness is the
     # first in the order of the basis states v, then the kernel vectors x.
-    a = FockVector.from_monomial(HEIS, ((-1, "a"),))
-    vac = FockVector.vacuum(HEIS)
     basis = voa.basis_vectors(HEIS, 4)
-    outside = FockVector.from_monomial(HEIS, ((-1, "a"), (-1, "a")))
-    leaving = {(basis[3], vac), (basis[2], a)}
+    (m2,), (m3,) = basis[2].terms, basis[3].terms
+    outside = {((-1, "a"), (-1, "a")): 1}
+    leaving = {(m3, 0), (m2, 1)}  # (basis[3], vac) and (basis[2], a)
 
-    def perturbed(v, x):
-        image = original(v, x)
-        return image + outside if (v, x) in leaving else image
+    def perturbed(self, mono, k):
+        image = original(self, mono, k)
+        if (mono, k) in leaving:
+            add_scaled(image, outside.items())
+        return image
 
-    original = rebind(monkeypatch, voa.zero_mode, perturbed)
+    original = zhu.ZeroModeAction.image
+    monkeypatch.setattr(zhu.ZeroModeAction, "image", perturbed)
     out = tmp_path / "omega.json"
     argv = ["omega", "--voa", "heisenberg", "--level", "1", "--cutoff", "4", "--out", str(out)]
     assert cli.main(argv) == 1
@@ -179,25 +181,57 @@ def test_each_suite_builds_exactly_one_report(monkeypatch):
 
 
 def test_iso_on_a_passing_run_forms_no_commutator_difference(monkeypatch):
-    # The kernel subspace is read as a value, so the only zero modes are the
-    # action check's: 12 states and 2 kernel vectors give 24 images and two
-    # zero modes per pair and vector, 24 + 144 * 2 * 2 = 600. Every product
-    # check passes, so no difference is formed.
+    # The zero modes are read one row per distinct monomial: the 12 states
+    # and the terms of the 144 reductions hold 136 distinct monomials, and no
+    # row is built twice. Every product check passes, so no difference is
+    # formed.
     calls = Counter()
 
-    def counting_zero_mode(u, x):
-        calls["zero_mode"] += 1
-        return zero_mode(u, x)
+    def counting_build_row(self, mono):
+        calls["row", mono] += 1
+        return build_row(self, mono)
 
     def counting_combine(self, other, coeff):
         calls["combine"] += 1
         return combine(self, other, coeff)
 
-    zero_mode = rebind(monkeypatch, voa.zero_mode, counting_zero_mode)
+    build_row = zhu.ZeroModeAction._build_row
+    monkeypatch.setattr(zhu.ZeroModeAction, "_build_row", counting_build_row)
     combine = Combination._combine
     monkeypatch.setattr(Combination, "_combine", counting_combine)
     assert modes.homomorphism_check(HEIS, 1, 4).passed
-    assert (calls["zero_mode"], calls["combine"]) == (600, 0)
+    rows = {key[1]: n for key, n in calls.items() if key != "combine"}
+    states = voa.basis_vectors(HEIS, 4)
+    distinct = {mono for v in states for mono in v.terms} | {
+        mono
+        for u in states
+        for v in states
+        for mono in modes.reduce_word(HEIS, [(u, 0), (v, 0)], 2)[0].terms
+    }
+    assert set(rows) == distinct and set(rows.values()) == {1}
+    assert (len(rows), calls["combine"]) == (136, 0)
+
+
+def test_iso_fails_when_a_zero_mode_leaves_the_kernel_subspace(monkeypatch):
+    # o(a[-1]a[-1]vac) = 2 L(0) sends a to 2a. Pushing that image out of
+    # Omega_1 = span(vac, a) fails the action check where a column of it is
+    # first needed: u = vac, v = a[-1]a[-1]vac and x = a, the first triple
+    # in the order of u, then v, then x. The product checks still pass.
+    aa = ((-1, "a"), (-1, "a"))
+
+    def pushed_out(self, mono):
+        row = build_row(self, mono)
+        return tuple((k, None if (mono, k) == (aa, 1) else c) for k, c in row)
+
+    build_row = zhu.ZeroModeAction._build_row
+    monkeypatch.setattr(zhu.ZeroModeAction, "_build_row", pushed_out)
+    doc = modes.homomorphism_check(HEIS, 1, 3)
+    records = {r.name.split("/")[-1]: r for r in doc.sorted_checks()}
+    action = records["action_on_kernel_subspace"]
+    assert action.status == "fail"
+    assert action.witness == {"u": "1 vac", "v": "a[-1]a[-1]vac", "x": "a[-1]vac"}
+    assert records["reduction_matches_star_product"].status == "pass"
+    assert records["commutator_modulo_ideal"].status == "pass"
 
 
 def test_appendix_suite_small_grid():
@@ -299,6 +333,7 @@ def test_reports_do_not_depend_on_memo_state():
             zhu_structure_suite(HEIS, 1, 3).canonical_bytes(),
             modes.homomorphism_check(HEIS, 1, 3).canonical_bytes(),
             zhu.c2_dims(HEIS, 3).to_csv(),
+            appendix_suite(HEIS, depth_range=(0, 1), operator_samples=3, seed=1).canonical_bytes(),
         )
 
     first = reports()

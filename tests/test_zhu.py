@@ -18,9 +18,11 @@ from zhu_forge import (
     builtin_presentation,
     c2_dims,
     circle_product,
+    evaluate_expression,
     format_element,
     inverse_system_check,
     mode_action,
+    mode_symbol,
     omega_subspace,
     star_product,
     star_top_weight,
@@ -31,6 +33,7 @@ from zhu_forge.linalg import reduce_vector, rref
 from zhu_forge.suites import omega_suite
 from zhu_forge.voa import _mode_mono
 from zhu_forge.zhu import (
+    ZeroModeAction,
     _free_monomials,
     _generator_rows,
     _star_coefficients,
@@ -651,6 +654,69 @@ def test_omega_subspace_preserved_by_zero_modes():
         doc = omega_suite(presentation, level, 6)
         records = {r.name: r.status for r in doc.sorted_checks()}
         assert records["zero_modes_preserve_subspace"] == "pass"
+
+
+LEE_YANG = builtin_presentation("virasoro", Fraction(-22, 5))
+
+
+def _in_span(vectors, y):
+    monos = sorted({m for v in vectors + [y] for m in v.terms})
+    matrix = sympy.Matrix(
+        [[sympy.Rational(str(v.terms.get(m, 0))) for m in monos] for v in vectors + [y]]
+    )
+    return matrix.rank() == len(vectors)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.data(),
+    st.sampled_from((HEIS, VIR, LEE_YANG)),
+    st.integers(0, 2),
+    st.integers(0, 6),
+)
+def test_zero_mode_action_matches_letter_by_letter_evaluation(data, presentation, level, cutoff):
+    action = ZeroModeAction(presentation, level, cutoff)
+    xs = action.vectors
+    zero = FockVector(presentation)
+
+    def combination(coords):
+        return sum((c * xs[k] for k, c in coords.items()), zero)
+
+    # Every row of a basis monomial m: sum_l coords_l x_l is o(m) x_k, with
+    # J_0(m) applied to x_k one letter at a time; a missing entry is a zero
+    # image, and no image leaves the span.
+    states = basis_vectors(presentation, cutoff)
+    for u in states:
+        (m,) = u.terms
+        row = dict(action.row(m))
+        for k, x in enumerate(xs):
+            coords = row.get(k, {})
+            assert coords is not None
+            assert combination(coords) == evaluate_expression(mode_symbol(u, 0), x)
+
+    # Coordinates are read only from vectors of the span: a drawn
+    # combination of the x_k, plus a multiple of a drawn basis monomial.
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    y = combination({k: data.draw(coeffs) for k in range(len(xs))})
+    y = y + data.draw(coeffs) * data.draw(st.sampled_from(states))
+    coords = action.coordinates(dict(y.terms))
+    assert (coords is not None) == _in_span(xs, y)
+    if coords is not None:
+        assert combination(coords) == y
+
+    # M(u) M(v) = M(u *_n v) on Omega_n for pairs whose product fits the window.
+    pairs = [
+        (u, v)
+        for u in states
+        for v in states
+        if star_top_weight(u.max_weight(), v.max_weight(), level) <= cutoff
+    ]
+    for u, v in data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4)):
+        mu, mv = action.matrix(u), action.matrix(v)
+        product = action.matrix(star_product(u, v, level))
+        for k in range(len(xs)):
+            got = action.apply(mu, mv[k])
+            assert got is not None and got == product[k]
 
 
 def test_spanning_dump_is_json_ready():
