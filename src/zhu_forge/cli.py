@@ -10,7 +10,9 @@ go to stderr.
 validates every option, builds the presentation once, and runs the command.
 ``axioms``, ``zhu``, ``iso`` and ``omega`` run the suite of :data:`SUITES`
 and write it as a merged report whose records are named ``command/check``;
-``appendix`` writes its suite's own report and ``dims`` a CSV table. Only
+``appendix`` writes its suite's own report and ``dims`` a CSV table. Each
+flag is declared once, on an argparse parent (:func:`build_parser`): every
+subcommand takes ``--config``, ``--voa`` and ``--central-charge``, and only
 the six suite subcommands take ``--level``, ``--cutoff``, ``--seed``,
 ``--out`` and ``--golden``.
 """
@@ -51,31 +53,6 @@ SUITES = {
 }
 
 
-def _add_common(parser: argparse.ArgumentParser, suite: bool = True) -> None:
-    parser.add_argument(
-        "--config",
-        type=str,
-        default=None,
-        metavar="FILE",
-        help="file of key = value lines read as flags; flags typed later win",
-    )
-    parser.add_argument("--voa", choices=VOA_CHOICES, default="heisenberg")
-    parser.add_argument(
-        "--central-charge",
-        type=str,
-        default="1/2",
-        metavar="p/q",
-        help="central charge for the virasoro presentation (ignored otherwise)",
-    )
-    if not suite:
-        return
-    parser.add_argument("--level", type=int, default=0)
-    parser.add_argument("--cutoff", type=int, default=6)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", type=str, default=None, help="write the report/table here")
-    parser.add_argument("--golden", type=str, default=None, help="compare output to this file")
-
-
 def _parse_range(text: str) -> tuple[int, int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
@@ -84,7 +61,35 @@ def _parse_range(text: str) -> tuple[int, int]:
     return value, value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The full parser and its ``--config`` parent, which :func:`main`
+    parses alone first to find the config file. Each flag is declared once:
+    the ``common`` parent adds ``--voa`` and ``--central-charge`` to
+    ``config``, and ``suite`` adds the suite subcommands' flags to it."""
+    config = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    config.add_argument(
+        "--config",
+        type=str,
+        default=None,
+        metavar="FILE",
+        help="file of key = value lines read as flags; flags typed later win",
+    )
+    common = argparse.ArgumentParser(add_help=False, parents=[config])
+    common.add_argument("--voa", choices=VOA_CHOICES, default="heisenberg")
+    common.add_argument(
+        "--central-charge",
+        type=str,
+        default="1/2",
+        metavar="p/q",
+        help="central charge for the virasoro presentation (ignored otherwise)",
+    )
+    suite = argparse.ArgumentParser(add_help=False, parents=[common])
+    suite.add_argument("--level", type=int, default=0)
+    suite.add_argument("--cutoff", type=int, default=6)
+    suite.add_argument("--seed", type=int, default=0)
+    suite.add_argument("--out", type=str, default=None, help="write the report/table here")
+    suite.add_argument("--golden", type=str, default=None, help="compare output to this file")
+
     parser = argparse.ArgumentParser(
         prog="zhu-forge",
         description="exact mode calculus and quotient-algebra checks for vertex operator algebras",
@@ -92,11 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name in ("axioms", "iso", "omega"):
-        p = sub.add_parser(name)
-        _add_common(p)
+        sub.add_parser(name, parents=[suite])
 
-    p = sub.add_parser("zhu")
-    _add_common(p)
+    p = sub.add_parser("zhu", parents=[suite])
     p.add_argument(
         "--span-out",
         type=str,
@@ -104,16 +107,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="also dump the reduced ideal span as a JSON matrix",
     )
 
-    p = sub.add_parser("appendix")
-    _add_common(p)
+    p = sub.add_parser("appendix", parents=[suite])
     p.add_argument("--s", type=str, default="-2..2", metavar="a..b")
     p.add_argument("--t", type=str, default="-2..2", metavar="a..b")
     p.add_argument("--N", type=str, default="0..4", metavar="a..b")
     p.add_argument("--shift-bound", type=int, default=10)
     p.add_argument("--samples", type=int, default=50)
 
-    p = sub.add_parser("dims")
-    _add_common(p)
+    p = sub.add_parser("dims", parents=[suite])
     p.add_argument(
         "--kind",
         choices=("quotient", "c2"),
@@ -121,8 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which dimension table to write",
     )
 
-    p = sub.add_parser("reduce")
-    _add_common(p, suite=False)
+    p = sub.add_parser("reduce", parents=[common])
     p.add_argument("--expr", type=str, required=True, help="mode expression literal")
     p.add_argument("--mod-level", type=int, required=True, dest="mod_level")
     p.add_argument("--trace", type=str, default=None, help="write the rewriting trace here")
@@ -130,12 +130,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--variant", choices=("rightmost", "leftmost"), default="rightmost"
     )
 
-    p = sub.add_parser("parse")
-    _add_common(p, suite=False)
+    p = sub.add_parser("parse", parents=[common])
     p.add_argument("--expr", type=str, required=True)
     p.add_argument("--uea", action="store_true", help="parse as a mode expression")
 
-    return parser
+    return parser, config
 
 
 def _write_output(payload: bytes, args: argparse.Namespace) -> None:
@@ -216,36 +215,29 @@ def _config_flags(path: str) -> list[str]:
     return flags
 
 
-def _build_config_parser() -> argparse.ArgumentParser:
-    """The pre-parser that finds ``--config`` before the full parse."""
-    config = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    config.add_argument("--config")
-    return config
-
-
-def _find_config_path(argv: list[str]) -> str | None:
-    """The ``--config`` value, the flag abbreviated as argparse allows
-    (``--conf``); the full parser still rejects an ambiguous ``--c``."""
+def _find_config_path(config: argparse.ArgumentParser, argv: list[str]) -> str | None:
+    """The ``--config`` value read by the ``config`` parent, the flag
+    abbreviated as argparse allows (``--conf``); the full parser still
+    rejects an ambiguous ``--c``."""
     try:
-        return _config_parser.parse_known_args(argv)[0].config
+        return config.parse_known_args(argv)[0].config
     except argparse.ArgumentError:
         return None  # the full parser reports it
 
 
-_parser: argparse.ArgumentParser | None = None
-_config_parser: argparse.ArgumentParser | None = None
+_parsers: tuple[argparse.ArgumentParser, argparse.ArgumentParser] | None = None
 
 
 def main(argv: list[str] | None = None) -> int:
     # Built on the first call, not at import; parsing keeps no state.
-    global _parser, _config_parser
-    if _parser is None:
-        _parser = build_parser()
-        _config_parser = _build_config_parser()
+    global _parsers
+    if _parsers is None:
+        _parsers = build_parser()
+    parser, config = _parsers
     if argv is None:
         argv = sys.argv[1:]
     argv = list(argv)
-    config_path = _find_config_path(argv)
+    config_path = _find_config_path(config, argv)
     if config_path:
         # The file's flags go right after the subcommand, so argparse checks
         # them like typed flags and a flag typed later wins.
@@ -254,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 2
-    args = _parser.parse_args(_merge_range_flags(argv))
+    args = parser.parse_args(_merge_range_flags(argv))
     try:
         return _run(args)
     except OSError as exc:
@@ -273,7 +265,7 @@ def _run(args: argparse.Namespace) -> int:
         presentation = builtin_presentation(args.voa, charge)
         if args.command == "reduce" and args.mod_level < 1:
             raise ValueError("--mod-level must be at least 1")
-        if args.command not in ("parse", "reduce") and (args.level < 0 or args.cutoff < 0):
+        if "cutoff" in args and (args.level < 0 or args.cutoff < 0):
             raise ValueError("level and cutoff must be nonnegative")
         if args.command == "appendix":
             ranges = _parse_range(args.s), _parse_range(args.t), _parse_range(args.N)

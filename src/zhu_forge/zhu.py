@@ -427,9 +427,10 @@ class ZeroModeAction:
     preserves Ω_n, so ``o(u)`` restricted to it is a matrix ``M(u)``. Each
     basis vector ``x_k`` comes from ``linalg.kernel_basis`` in free-column
     form: its least monomial ``f_k = min(x_k.terms)`` has coefficient 1 in
-    ``x_k`` and 0 in every other basis vector, so a vector ``y`` of the span
-    has coordinates ``y[f_k]`` (:meth:`coordinates`), and membership is
-    checked by subtracting ``sum_k y[f_k] x_k``.
+    ``x_k`` and 0 in every other basis vector. So the ``x_k`` are a reduced
+    span with pivots ``f_k``: a vector ``y`` is in it when
+    ``linalg.reduce_vector`` leaves nothing, and then its coordinates are
+    ``y[f_k]`` (:meth:`coordinates`).
 
     :meth:`row` holds, per basis monomial ``m``, the pairs ``(k, coords)``
     over the ``x_k`` with ``o(m) x_k != 0``, built once per object from
@@ -442,17 +443,16 @@ class ZeroModeAction:
         self.presentation = presentation
         self.vectors = omega_subspace(presentation, level, cutoff)
         self._free = {min(x.terms): k for k, x in enumerate(self.vectors)}
+        self._terms = [x.terms for x in self.vectors]
         self._rows: dict[Monomial, tuple[tuple[int, Coordinates | None], ...]] = {}
 
     def coordinates(self, terms: dict[Monomial, Fraction]) -> Coordinates | None:
         """The coordinates ``{k: c}`` of the vector with ``terms`` in the
         basis ``x_k``, or ``None`` if it is not in their span."""
         free = self._free
-        coords = {free[mono]: c for mono, c in terms.items() if mono in free}
-        residual = dict(terms)
-        for k, c in coords.items():
-            add_scaled(residual, self.vectors[k].terms.items(), -c)
-        return None if residual else coords
+        if reduce_vector(terms, self._terms, free):
+            return None
+        return {free[mono]: c for mono, c in terms.items() if mono in free}
 
     def row(self, mono: Monomial) -> tuple[tuple[int, Coordinates | None], ...]:
         """The pairs ``(k, coordinates of o(mono) x_k)`` with a nonzero image,

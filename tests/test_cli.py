@@ -2,6 +2,8 @@ import ast
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -330,24 +332,68 @@ def test_main_builds_the_parser_once(monkeypatch, capsys):
     from zhu_forge import cli
 
     built = []
+    build = cli.build_parser
 
-    def counting(build):
-        def wrapped():
-            built.append(build.__name__)
-            return build()
+    def counting():
+        built.append(1)
+        return build()
 
-        return wrapped
-
-    monkeypatch.setattr(cli, "_parser", None)
-    monkeypatch.setattr(cli, "_config_parser", None)
-    for name in ("build_parser", "_build_config_parser"):
-        monkeypatch.setattr(cli, name, counting(getattr(cli, name)))
+    monkeypatch.setattr(cli, "_parsers", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
     argv = ["parse", "--voa", "heisenberg", "--expr", "a[-1]vac"]
     assert cli.main(argv) == 0
     assert cli.main(argv) == 0
-    # The --config pre-parser is built once beside the full parser.
-    assert sorted(built) == ["_build_config_parser", "build_parser"]
+    # One builder makes the full parser and its --config parent together.
+    assert built == [1]
     assert capsys.readouterr().out == "a[-1]vac\n" * 2
+
+
+COMMON_FLAGS = ["-h", "--config", "--voa", "--central-charge"]
+SUITE_FLAGS = [*COMMON_FLAGS, "--level", "--cutoff", "--seed", "--out", "--golden"]
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("axioms", SUITE_FLAGS),
+        ("zhu", [*SUITE_FLAGS, "--span-out"]),
+        ("appendix", [*SUITE_FLAGS, "--s", "--t", "--N", "--shift-bound", "--samples"]),
+        ("iso", SUITE_FLAGS),
+        ("dims", [*SUITE_FLAGS, "--kind"]),
+        ("omega", SUITE_FLAGS),
+        ("reduce", [*COMMON_FLAGS, "--expr", "--mod-level", "--trace", "--variant"]),
+        ("parse", [*COMMON_FLAGS, "--expr", "--uea"]),
+    ],
+)
+def test_help_lists_the_documented_flags(command, flags, capsys):
+    # The flag set of each subcommand as README's CLI section documents it.
+    from zhu_forge import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    options = capsys.readouterr().out.split("\noptions:\n", 1)[1]
+    listed = re.findall(r"^  (-{1,2}[\w-]+)", options, flags=re.MULTILINE)
+    assert listed == flags
+
+
+def _readme_cli_lines():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return block.splitlines()
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_examples_run(line, tmp_path, monkeypatch, capsys):
+    # The lines write t.csv and trace.json into the working directory.
+    from zhu_forge import cli
+
+    monkeypatch.chdir(tmp_path)
+    program, *argv = shlex.split(line)
+    assert program == "zhu-forge"
+    assert cli.main(argv) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 VIRASORO_HALF = ["--voa", "virasoro", "--central-charge", "1/2"]
