@@ -31,7 +31,7 @@ from .modes import (
 )
 from .parser import ParseError, parse_element, parse_uea
 from .report import CheckRecord, DimensionTable, ReportDocument, golden_compare
-from .suites import axiom_suite, inverse_system_check
+from .suites import axiom_suite
 from .voa import (
     FockVector,
     Monomial,
@@ -92,7 +92,6 @@ __all__ = [
     "translation_row",
     "an_dims",
     "c2_dims",
-    "inverse_system_check",
     "omega_subspace",
     "UEAExpression",
     "Word",

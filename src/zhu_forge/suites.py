@@ -198,14 +198,6 @@ def ideal_containment(presentation: Presentation, level: int, cutoff: int) -> li
     return failures
 
 
-def inverse_system_check(presentation: Presentation, level: int, cutoff: int) -> ReportDocument:
-    """The :func:`ideal_containment` check as a suite of its own."""
-    params = {"level": level, "cutoff": cutoff}
-    doc = ReportDocument.for_suite("inverse_system", presentation, **params)
-    doc.record("ideal_containment", params, ideal_containment(presentation, level, cutoff))
-    return doc
-
-
 def omega_suite(presentation: Presentation, level: int, cutoff: int) -> ReportDocument:
     """The kernel subspace of :func:`zhu.omega_subspace` at truncation.
 

@@ -16,14 +16,15 @@ stored: :func:`circle_product` and :func:`star_product` are one
 the cutoff, and :func:`star_top_weight` gives a star product's top weight.
 Above level 0 the span takes one circle product per unordered pair of
 distinct basis monomials: by skew symmetry ``u o_n v + v o_n u`` lies in
-the span of the translation rows. The level-0 span and the span of
-:func:`c2_dims` are built from the generators alone, one row ``sum_i c_i
-g_{i-2-m} v`` per generator ``g``, ``m >= 0`` and basis state ``v``
-(:func:`_generator_rows`); the pivots of the latter are a memo table.
-The level ideal is spanned by all circle products and ``L(-1)u + L(0)u``.
-:func:`translation_row` reads the latter without the conformal vector:
-``L(0)`` is the weight, and ``L(-1)`` moves one mode at a time by
-translation covariance (:func:`_translate_mono`, a memo table). A
+the span of the translation rows ``L(-1)u + L(0)u``, which the level
+ideal holds besides the circle products; only spans above level 0 append
+them, since at level 0 the row of ``u`` is ``u o_0 vac``. The level-0 span
+and the span of :func:`c2_dims` are built from the generators alone, one
+row ``sum_i c_i g_{i-2-m} v`` per generator ``g``, ``m >= 0`` and basis
+state ``v`` (:func:`_generator_rows`); the pivots of the latter are a memo
+table. :func:`translation_row` reads a translation row without the
+conformal vector: ``L(0)`` is the weight, and ``L(-1)`` moves one mode at a
+time by translation covariance (:func:`_translate_mono`, a memo table). A
 :class:`ZhuContext` holds the row-reduced span of the spanning vectors whose
 components all fit under a weight cutoff. That is an inner approximation of
 the ideal's intersection with the weight window: whenever a reduction
@@ -38,8 +39,9 @@ them, low-weight states first, and none is built once the block has no
 kernel left, which above the level is every Heisenberg block and most
 Virasoro blocks. It is returned as a plain list of vectors.
 :class:`ZeroModeAction` reads the zero modes on it in its own coordinates:
-one row per basis monomial, built once from the mode table, and a vector's
-matrix as the sum of its terms' rows.
+one row per basis monomial, built once from the mode table by
+:meth:`ZeroModeAction._build_row`, and a vector's matrix as the sum of its
+terms' rows.
 
 This module computes values only. The checks on them, the ideal containment
 between levels and the zero modes on the kernel subspace among them, live in
@@ -202,30 +204,22 @@ class ZhuContext:
     def rank(self) -> int:
         return len(self.rows)
 
-    def check_weight(self, x: FockVector) -> None:
+    def reduce(self, x: FockVector) -> FockVector:
+        """Canonical representative of ``x`` modulo the truncated span."""
+        if x.presentation != self.presentation:
+            raise ValueError("vector belongs to a different presentation")
         for mono in x.terms:
             if monomial_weight(mono) > self.cutoff:
                 raise WeightOverflowError(
                     f"component {format_monomial(mono)} has weight "
                     f"{monomial_weight(mono)} > cutoff {self.cutoff}"
                 )
-
-    def reduce(self, x: FockVector) -> FockVector:
-        """Canonical representative of ``x`` modulo the truncated span."""
-        if x.presentation != self.presentation:
-            raise ValueError("vector belongs to a different presentation")
-        self.check_weight(x)
         reduced = reduce_vector(x.terms, self._row_terms, self.pivots)
         return FockVector._adopt(self.presentation, reduced)
 
     @cached_property
     def _row_terms(self) -> list[dict[Monomial, Fraction]]:
         return [row.terms for row in self.rows]
-
-    def dimension_table(self) -> DimensionTable:
-        """Non-pivot monomial counts per weight: an upper bound on the graded
-        dimensions of the weight filtration of the quotient."""
-        return _free_monomials(self.presentation, self.cutoff, self.pivots)
 
     def spanning_dump(self) -> dict:
         """JSON-ready matrix dump of the reduced span, for external checks."""
@@ -275,13 +269,14 @@ def spanning_vectors(presentation: Presentation, level: int, cutoff: int) -> lis
     """Generators of the truncated level ideal that fit under the cutoff.
 
     At level 0, the rows of :func:`_generator_rows` with ``c_i = C(wt(g),
-    i)``: the row at ``m = 0`` is ``g o_0 v``, and each row lies in O(V) by
-    Zhu's Lemma 2.1.2 (J. AMS 9, 1996). That they span the truncation of
-    the pair loop's span is licensed by the grid test against that loop in
-    ``tests/test_zhu.py``, not by the lemma. Above level 0, the circle
-    products ``u o_n v`` of basis monomials whose top component, of weight
-    ``wt(u)+wt(v)+2*level+1``, fits under the cutoff, one per unordered
-    pair of distinct monomials. Skew symmetry, ``Y(u,z)v = e^{zL(-1)}
+    i)`` alone: the row at ``m = 0`` is ``g o_0 v``, and each row lies in
+    O(V) by Zhu's Lemma 2.1.2 (J. AMS 9, 1996). That they span the
+    truncation of the pair loop's span and of the translation rows (the row
+    of ``u`` is ``u o_0 vac``) is licensed by the grid test against that
+    loop in ``tests/test_zhu.py``, not by the lemma. Above level 0, the
+    circle products ``u o_n v`` of basis monomials whose top component, of
+    weight ``wt(u)+wt(v)+2*level+1``, fits under the cutoff, one per
+    unordered pair of distinct monomials. Skew symmetry, ``Y(u,z)v = e^{zL(-1)}
     Y(v,-z)u``, makes the other order redundant: modulo the translation
     rows, ``L(-1)^k x`` is ``(-1)^k wt(x)(wt(x)+1)...(wt(x)+k-1) x`` for
     homogeneous ``x``, so ``e^{zL(-1)}`` acts as ``(1+z)^{-wt(x)}``, and
@@ -290,26 +285,26 @@ def spanning_vectors(presentation: Presentation, level: int, cutoff: int) -> lis
     top weight only. Of each pair the left factor is the one first in
     ``(len(m), wt(m), m)``, so ``voa._mode_mono`` peels the shorter
     monomial. The grid test against the ordered pair loop in
-    ``tests/test_zhu.py`` licenses that the span is unchanged. Then the
-    translation rows of the basis vectors of weight below the cutoff.
+    ``tests/test_zhu.py`` licenses that the span is unchanged. Then, above
+    level 0 only, the translation rows of the basis vectors of weight below
+    the cutoff.
     """
     if level < 0 or cutoff < 0:
         raise ValueError("level and cutoff must be nonnegative")
     if level == 0:
-        vectors = _generator_rows(
+        return _generator_rows(
             presentation, cutoff, lambda d: [binomial(d, i) for i in range(d + 1)]
         )
-    else:
-        bound = cutoff - 2 * level - 1
-        basis = enumerate_basis(presentation, max(bound, 0))
-        order = sorted((len(m), w, m) for w, monos in basis for m in monos)
-        flat = [(w, FockVector.from_monomial(presentation, m)) for _, w, m in order]
-        vectors = [
-            prod
-            for i, (wu, u) in enumerate(flat)
-            for wv, v in flat[i + 1 :]
-            if wu + wv <= bound and (prod := circle_product(u, v, level))
-        ]
+    bound = cutoff - 2 * level - 1
+    basis = enumerate_basis(presentation, max(bound, 0))
+    order = sorted((len(m), w, m) for w, monos in basis for m in monos)
+    flat = [(w, FockVector.from_monomial(presentation, m)) for _, w, m in order]
+    vectors = [
+        prod
+        for i, (wu, u) in enumerate(flat)
+        for wv, v in flat[i + 1 :]
+        if wu + wv <= bound and (prod := circle_product(u, v, level))
+    ]
     if cutoff >= 1:
         basis = basis_vectors(presentation, cutoff - 1)
         vectors += [row for u in basis if (row := translation_row(presentation, u))]
@@ -335,7 +330,10 @@ def build_zhu_context(presentation: Presentation, level: int, cutoff: int) -> Zh
 
 
 def an_dims(presentation: Presentation, level: int, cutoff: int) -> DimensionTable:
-    return build_zhu_context(presentation, level, cutoff).dimension_table()
+    """Non-pivot monomial counts per weight of the level context: an upper
+    bound on the graded dimensions of the weight filtration of the quotient."""
+    pivots = build_zhu_context(presentation, level, cutoff).pivots
+    return _free_monomials(presentation, cutoff, pivots)
 
 
 def c2_dims(presentation: Presentation, cutoff: int) -> DimensionTable:
@@ -349,7 +347,7 @@ def c2_dims(presentation: Presentation, cutoff: int) -> DimensionTable:
     each call, since a :class:`DimensionTable` holds a mutable list.
     """
     if cutoff < 0:
-        raise ValueError("level and cutoff must be nonnegative")
+        raise ValueError("cutoff must be nonnegative")
     return _free_monomials(presentation, cutoff, _c2_pivots(presentation, cutoff))
 
 
@@ -433,10 +431,11 @@ class ZeroModeAction:
     ``y[f_k]`` (:meth:`coordinates`).
 
     :meth:`row` holds, per basis monomial ``m``, the pairs ``(k, coords)``
-    over the ``x_k`` with ``o(m) x_k != 0``, built once per object from
-    ``voa._mode_mono``; ``coords`` is ``None`` when ``o(m) x_k`` leaves the
-    span. :meth:`matrix` sums the rows of a vector's terms into the columns
-    of ``M(u)``, a column being ``None`` when a term's image leaves the span.
+    over the ``x_k`` with ``o(m) x_k != 0``, built once per object by
+    :meth:`_build_row` from ``voa._mode_mono``; ``coords`` is ``None`` when
+    ``o(m) x_k`` leaves the span. :meth:`matrix` sums the rows of a vector's
+    terms into the columns of ``M(u)``, a column being ``None`` when a
+    term's image leaves the span.
     """
 
     def __init__(self, presentation: Presentation, level: int, cutoff: int):
@@ -463,20 +462,15 @@ class ZeroModeAction:
         return row
 
     def _build_row(self, mono: Monomial) -> tuple[tuple[int, Coordinates | None], ...]:
+        presentation, n = self.presentation, monomial_weight(mono) - 1
         entries = []
-        for k in range(len(self.vectors)):
-            if image := self.image(mono, k):
+        for k, x in enumerate(self._terms):
+            image: dict[Monomial, Fraction] = {}
+            for xmono, c in x.items():
+                add_scaled(image, _mode_mono(presentation, mono, n, xmono), c)
+            if image:
                 entries.append((k, self.coordinates(image)))
         return tuple(entries)
-
-    def image(self, mono: Monomial, k: int) -> dict[Monomial, Fraction]:
-        """The terms of ``o(mono) x_k`` in V, one ``voa._mode_mono`` read per
-        term of ``x_k``."""
-        presentation, n = self.presentation, monomial_weight(mono) - 1
-        image: dict[Monomial, Fraction] = {}
-        for xmono, c in self.vectors[k].terms.items():
-            add_scaled(image, _mode_mono(presentation, mono, n, xmono), c)
-        return image
 
     def matrix(self, u: FockVector) -> list[Coordinates | None]:
         """The columns of ``M(u)``: column ``k`` holds the coordinates of
@@ -484,12 +478,8 @@ class ZeroModeAction:
         if u.presentation != self.presentation:
             raise ValueError("vector belongs to a different presentation")
         columns: list[Coordinates | None] = [{} for _ in self.vectors]
-        rows = self._rows
         for mono, c in u.terms.items():
-            row = rows.get(mono)
-            if row is None:
-                row = self.row(mono)
-            for k, coords in row:
+            for k, coords in self.row(mono):
                 column = columns[k]
                 if column is None:
                     continue

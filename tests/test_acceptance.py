@@ -25,7 +25,6 @@ from zhu_forge import (
     evaluate_expression,
     format_element,
     homomorphism_check,
-    inverse_system_check,
     mode_symbol,
     omega_subspace,
     reduce_word,
@@ -36,6 +35,7 @@ from zhu_forge import (
 from zhu_forge.suites import (
     appendix_suite,
     deep_tail_witness_suite,
+    ideal_containment,
     zhu_structure_suite,
 )
 
@@ -127,11 +127,13 @@ def criterion_3_quotient_structure() -> ReportDocument:
 
 
 def criterion_4_level_tower() -> ReportDocument:
-    docs = [
-        inverse_system_check(presentation, level, 6)
-        for presentation in BOTH
-        for level in (1, 2)
-    ]
+    docs = []
+    for presentation in BOTH:
+        for level in (1, 2):
+            params = {"level": level, "cutoff": 6}
+            doc = ReportDocument.for_suite("inverse_system", presentation, **params)
+            doc.record("ideal_containment", params, ideal_containment(presentation, level, 6))
+            docs.append(doc)
     return _merge("level_tower", docs)
 
 

@@ -554,6 +554,7 @@ def test_usage_error_exit_code():
     [
         ["dims", "--cutoff", "-1"],
         ["dims", "--level", "-1"],
+        ["dims", "--kind", "c2", "--cutoff", "-1"],
         ["appendix", "--N", "5..1"],
         ["appendix", "--s", "0..0", "--N", "-3..-1"],
         ["appendix", "--shift-bound", "-1"],
@@ -568,6 +569,7 @@ def test_usage_error_exit_code():
     ids=[
         "dims-cutoff",
         "dims-level",
+        "dims-c2-cutoff",
         "appendix-empty-range",
         "appendix-no-valid-depth",
         "appendix-negative-shift-bound",

@@ -1,3 +1,6 @@
+import doctest
+import importlib
+import pkgutil
 import types
 
 import zhu_forge
@@ -21,3 +24,18 @@ def test_all_lists_every_public_name():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert set(zhu_forge.__all__) == public | {"__version__"}
+
+
+def test_docstring_examples_run():
+    # pytest collects no doctests here, so the ``>>>`` examples run here.
+    modules = [zhu_forge] + [
+        importlib.import_module(f"zhu_forge.{info.name}")
+        for info in pkgutil.iter_modules(zhu_forge.__path__)
+    ]
+    failed = attempted = 0
+    for module in modules:
+        result = doctest.testmod(module)
+        failed += result.failed
+        attempted += result.attempted
+    assert failed == 0
+    assert attempted >= 5

@@ -9,7 +9,7 @@ import pytest
 
 import zhu_forge
 from zhu_forge import FockVector, builtin_presentation, cli, modes, voa, zhu
-from zhu_forge.linalg import Combination, add_scaled
+from zhu_forge.linalg import Combination
 from zhu_forge.report import ReportDocument
 from zhu_forge.suites import (
     StarTable,
@@ -126,21 +126,21 @@ def test_zhu_suite_forms_each_basis_product_once_inside_the_window(
 
 def test_omega_reports_the_first_zero_mode_image_outside_the_subspace(monkeypatch, tmp_path):
     # Omega_1 of the Heisenberg module is spanned by vac and a. Two zero-mode
-    # images are pushed out of it by a weight-2 vector; the witness is the
-    # first in the order of the basis states v, then the kernel vectors x.
+    # images are pushed out of it; the witness is the first in the order of
+    # the basis states v, then the kernel vectors x. The image of
+    # (basis[3], vac) is zero, so its row has no entry to mark until one is
+    # inserted.
     basis = voa.basis_vectors(HEIS, 4)
     (m2,), (m3,) = basis[2].terms, basis[3].terms
-    outside = {((-1, "a"), (-1, "a")): 1}
     leaving = {(m3, 0), (m2, 1)}  # (basis[3], vac) and (basis[2], a)
 
-    def perturbed(self, mono, k):
-        image = original(self, mono, k)
-        if (mono, k) in leaving:
-            add_scaled(image, outside.items())
-        return image
+    def perturbed(self, mono):
+        row = dict(original(self, mono))
+        row.update((k, None) for m, k in leaving if m == mono)
+        return tuple(sorted(row.items()))
 
-    original = zhu.ZeroModeAction.image
-    monkeypatch.setattr(zhu.ZeroModeAction, "image", perturbed)
+    original = zhu.ZeroModeAction._build_row
+    monkeypatch.setattr(zhu.ZeroModeAction, "_build_row", perturbed)
     out = tmp_path / "omega.json"
     argv = ["omega", "--voa", "heisenberg", "--level", "1", "--cutoff", "4", "--out", str(out)]
     assert cli.main(argv) == 1

@@ -20,7 +20,6 @@ from zhu_forge import (
     circle_product,
     evaluate_expression,
     format_element,
-    inverse_system_check,
     mode_action,
     mode_symbol,
     omega_subspace,
@@ -30,7 +29,7 @@ from zhu_forge import (
     voa,
 )
 from zhu_forge.linalg import reduce_vector, rref
-from zhu_forge.suites import omega_suite
+from zhu_forge.suites import ideal_containment, omega_suite
 from zhu_forge.voa import _mode_mono
 from zhu_forge.zhu import (
     ZeroModeAction,
@@ -278,7 +277,7 @@ def test_hand_built_copy_is_another_presentation():
 def test_empty_context_at_cutoff_zero():
     ctx = build_zhu_context(HEIS, 0, 0)
     assert ctx.rank == 0
-    assert ctx.dimension_table().rows == [(0, 1)]
+    assert an_dims(HEIS, 0, 0).rows == [(0, 1)]
 
 
 def test_context_pivot_relation():
@@ -339,16 +338,22 @@ def test_translation_row_matches_its_definition():
 
 
 def test_translation_rows_vanish_in_quotient():
-    for level in (0, 1, 2):
-        ctx = build_zhu_context(HEIS, level, 6)
-        for u in basis_vectors(HEIS, 5):
-            assert ctx.reduce(translation_row(HEIS, u)).is_zero
+    # Above level 0 the translation rows are spanning rows. At level 0 the
+    # span is the generator rows alone, and their vanishing is Zhu's lemma
+    # u o_0 vac = L(-1)u + L(0)u.
+    cases = [(HEIS, level) for level in (0, 1, 2)] + [
+        (builtin_presentation("virasoro", Fraction(c)), 0) for c in ("1/2", "-22/5")
+    ]
+    for presentation, level in cases:
+        ctx = build_zhu_context(presentation, level, 6)
+        for u in basis_vectors(presentation, 5):
+            assert ctx.reduce(translation_row(presentation, u)).is_zero
 
 
 def test_inverse_system_containment():
     for presentation in (HEIS, VIR):
         for level in (1, 2):
-            assert inverse_system_check(presentation, level, 6).passed
+            assert not ideal_containment(presentation, level, 6)
 
 
 def test_virasoro_translation_row_appears_in_span():
@@ -480,16 +485,16 @@ def test_level_span_row_counts(level, cutoff, count):
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, message",
     [
-        lambda: spanning_vectors(HEIS, 0, -3),
-        lambda: spanning_vectors(HEIS, -1, 3),
-        lambda: c2_dims(HEIS, -1),
-        lambda: build_zhu_context(HEIS, -1, 3),
-        lambda: build_zhu_context(HEIS, 0, -1),
-        lambda: omega_subspace(HEIS, -1, 4),
-        lambda: omega_subspace(HEIS, 0, -1),
-        lambda: omega_suite(HEIS, -2, 3),
+        (lambda: spanning_vectors(HEIS, 0, -3), "level and cutoff"),
+        (lambda: spanning_vectors(HEIS, -1, 3), "level and cutoff"),
+        (lambda: c2_dims(HEIS, -1), "cutoff"),
+        (lambda: build_zhu_context(HEIS, -1, 3), "level and cutoff"),
+        (lambda: build_zhu_context(HEIS, 0, -1), "level and cutoff"),
+        (lambda: omega_subspace(HEIS, -1, 4), "level and cutoff"),
+        (lambda: omega_subspace(HEIS, 0, -1), "level and cutoff"),
+        (lambda: omega_suite(HEIS, -2, 3), "level and cutoff"),
     ],
     ids=[
         "span-cutoff",
@@ -502,8 +507,10 @@ def test_level_span_row_counts(level, cutoff, count):
         "omega-suite-level",
     ],
 )
-def test_negative_level_or_cutoff_is_refused(build):
-    with pytest.raises(ValueError, match="^level and cutoff must be nonnegative$"):
+def test_negative_level_or_cutoff_is_refused(build, message):
+    # The message names only the arguments the function takes: c2_dims has
+    # no level.
+    with pytest.raises(ValueError, match=f"^{message} must be nonnegative$"):
         build()
 
 
