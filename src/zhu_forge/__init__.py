@@ -31,6 +31,7 @@ from .modes import (
 )
 from .parser import ParseError, parse_element, parse_uea
 from .report import CheckRecord, DimensionTable, ReportDocument, golden_compare
+from .report import TOOL_VERSION as __version__
 from .suites import axiom_suite
 from .voa import (
     FockVector,
@@ -59,8 +60,6 @@ from .zhu import (
     star_product,
     translation_row,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "binomial",

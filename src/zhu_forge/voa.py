@@ -68,10 +68,11 @@ class Presentation:
     """A strongly generated vertex operator algebra on its vacuum module.
 
     The fields are lookup tables: ``generators`` maps each label to its
-    conformal weight (insertion order is the generator order),
-    ``vacuum_thresholds`` maps it to the least ``m`` with ``g(m)|vac> = 0``,
-    and ``brackets`` maps an ordered pair of labels to the
-    :class:`BracketTerm` terms of ``[g(m), h(n)]``. ``central_charge`` is
+    conformal weight ``d`` (insertion order is the generator order), and
+    ``brackets`` maps an ordered pair of labels to the :class:`BracketTerm`
+    terms of ``[g(m), h(n)]``. The weight alone fixes which modes create:
+    by the creation axiom ``Y(g, z)vac = g + O(z)``, ``g(m)vac`` is nonzero
+    exactly when ``m <= -d``, so no threshold is stated. ``central_charge`` is
     the stated charge, which ``suites.presentation_checks`` checks against
     the brackets. Each table is stored as a read-only copy, since the memo
     tables trust a presentation never to change. Compared and hashed by
@@ -84,10 +85,9 @@ class Presentation:
     brackets: Mapping[tuple[str, str], tuple[BracketTerm, ...]]
     central_charge: Fraction
     conformal_recipe: tuple[tuple[Monomial, Fraction], ...]
-    vacuum_thresholds: Mapping[str, int]
 
     def __post_init__(self) -> None:
-        for field in ("generators", "brackets", "vacuum_thresholds"):
+        for field in ("generators", "brackets"):
             object.__setattr__(self, field, MappingProxyType(dict(getattr(self, field))))
 
     def conformal_vector(self) -> "FockVector":
@@ -139,7 +139,6 @@ def _intern_builtin(name: str, c: Fraction | None) -> Presentation:
             brackets={("a", "a"): (BracketTerm(lambda m, n: m, None),)},
             central_charge=Fraction(1),
             conformal_recipe=((mono_aa, Fraction(1, 2)),),
-            vacuum_thresholds={"a": 0},
         )
     if name == "virasoro":
         vir_terms = (
@@ -152,7 +151,6 @@ def _intern_builtin(name: str, c: Fraction | None) -> Presentation:
             brackets={("L", "L"): vir_terms},
             central_charge=c,
             conformal_recipe=((((-2, "L"),), Fraction(1)),),
-            vacuum_thresholds={"L": -1},
         )
     raise ValueError(f"unknown presentation {name!r}")
 
@@ -257,14 +255,14 @@ def memo(fn):
 @memo
 def _weight_basis(presentation: Presentation, weight: int) -> tuple[Monomial, ...]:
     """The basis monomials of weight ``weight``, ascending: a creation mode
-    ``(m, g)``, ``-weight <= m`` below ``g``'s vacuum threshold, followed by
+    ``(m, g)``, ``-weight <= m <= -d`` for ``g`` of weight ``d``, followed by
     a monomial of weight ``weight + m`` that is empty or starts no lower."""
     if weight == 0:
         return ((),)
     monos = [
         ((m, gen),) + rest
-        for gen in presentation.generators
-        for m in range(-weight, presentation.vacuum_thresholds[gen])
+        for gen, d in presentation.generators.items()
+        for m in range(-weight, 1 - d)
         for rest in _weight_basis(presentation, weight + m)
         if not rest or (m, gen) <= rest[0]
     ]
@@ -279,7 +277,7 @@ def _apply_mono(presentation: Presentation, gen: str, m: int, mono: Monomial) ->
     otherwise the mode is commuted past the head using the bracket table,
     which terminates because bracket terms strictly shorten the monomial.
     """
-    threshold = presentation.vacuum_thresholds[gen]
+    threshold = 1 - presentation.generators[gen]
     if not mono:
         if m < threshold:
             return ((((m, gen),), 1),)
@@ -308,8 +306,12 @@ def _mode_mono(presentation: Presentation, umono: Monomial, n: int, vmono: Monom
     Base cases: the vacuum acts as the identity through its (-1)-st mode
     only, and a bare generator state delegates to the straightening above.
     Otherwise the leftmost mode of ``umono`` is peeled off with the iterate
-    formula; all index sums are finite because modes that would land in
-    negative weight act as zero.
+    formula, its sign-weighted binomial ``(-1)^i C(ell, i)`` written as
+    ``C(i - ell - 1, i)`` (upper negation, true for every integer ``ell``).
+    The head of a basis monomial creates, so ``ell < 0`` and no coefficient
+    vanishes; a hand-built head with ``ell >= 0`` only adds terms with
+    coefficient 0. The sum over ``i`` is finite because modes that would
+    land in negative weight act as zero.
     """
     if not umono:
         return ((vmono, 1),) if n == -1 else ()
@@ -324,15 +326,9 @@ def _mode_mono(presentation: Presentation, umono: Monomial, n: int, vmono: Monom
     v_weight = monomial_weight(vmono)
     first_top = rest_weight + v_weight - 1 - n
     second_top = gen_weight + v_weight - 1
-    i_top = max(first_top, second_top)
-    if ell >= 0:
-        i_top = min(i_top, ell)
     acc: dict[Monomial, Fraction] = {}
-    for i in range(i_top + 1):
-        base = binomial(ell, i)
-        if not base:
-            continue
-        coeff = -base if i % 2 else base
+    for i in range(max(first_top, second_top) + 1):
+        coeff = binomial(i - ell - 1, i)
         if i <= first_top:
             # g(head)_{ell-i} ( rest_{n+i} v ): stored index head_m - i.
             for mono2, c2 in _mode_mono(presentation, rest, n + i, vmono):

@@ -2,6 +2,9 @@ import doctest
 import importlib
 import pkgutil
 import types
+from pathlib import Path
+
+import pytest
 
 import zhu_forge
 
@@ -39,3 +42,12 @@ def test_docstring_examples_run():
         attempted += result.attempted
     assert failed == 0
     assert attempted >= 5
+
+
+def test_version_is_the_pyproject_version():
+    # The version is written once, as report.TOOL_VERSION, which every
+    # report header carries; pyproject.toml must state the same one.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as handle:
+        assert tomllib.load(handle)["project"]["version"] == zhu_forge.__version__

@@ -130,6 +130,40 @@ def test_basis_monomials_are_canonical_and_weighted():
             assert all(m <= -2 for m, _ in mono)
 
 
+def test_creation_rule_follows_from_the_generator_weights():
+    # Y(g, z)vac = g + O(z): g(m)vac is nonzero exactly when m <= -wt g, for
+    # the built-ins and for a hand-built product of both with no threshold
+    # table, whose basis counts are the convolution of theirs.
+    both = voa.Presentation(
+        name="heisenberg-virasoro",
+        generators={"a": 1, "L": 2},
+        brackets={**HEIS.brackets, **VIR.brackets, ("a", "L"): (), ("L", "a"): ()},
+        central_charge=Fraction(3, 2),
+        conformal_recipe=(
+            (((-1, "a"), (-1, "a")), Fraction(1, 2)),
+            (((-2, "L"),), Fraction(1)),
+        ),
+    )
+    for presentation in (HEIS, VIR, both):
+        vac = FockVector.vacuum(presentation)
+        for gen, weight in presentation.generators.items():
+            for m in range(-6, 7):
+                created = apply_generator_mode(presentation, gen, m, vac)
+                assert created.is_zero == (m > -weight), (presentation.name, gen, m)
+        for _, monos in enumerate_basis(presentation, 8):
+            for mono in monos:
+                assert all(m <= -presentation.generators[gen] for m, gen in mono)
+    counts = {
+        presentation.name: [len(monos) for _, monos in enumerate_basis(presentation, 8)]
+        for presentation in (HEIS, VIR, both)
+    }
+    heis, vir = counts["heisenberg"], counts["virasoro"]
+    assert counts[both.name] == [sum(heis[k] * vir[w - k] for k in range(w + 1)) for w in range(9)]
+    assert counts[both.name] == [1, 1, 3, 5, 10, 16, 29, 45, 75]
+    doc = axiom_suite(both, 3)
+    assert doc.passed, [r.witness for r in doc.sorted_checks() if r.status == "fail"]
+
+
 # --- generator modes against the boson oracle ---------------------------------
 
 
@@ -319,7 +353,6 @@ def test_presentation_invariants_witness_the_first_failure():
         brackets={("a", "a"): (BracketTerm(lambda m, n: m**2, None),)},
         central_charge=Fraction(5),
         conformal_recipe=((((-1, "a"),), Fraction(1)),),
-        vacuum_thresholds={"a": 0},
     )
     doc = axiom_suite(bad, 3, jacobi_samples=5)
     (record,) = [r for r in doc.sorted_checks() if r.name == "presentation_invariants"]
@@ -421,7 +454,7 @@ def test_voa_is_the_kernel_and_holds_no_check():
     moved = {"axiom_suite", "presentation_checks", "_jacobi_instance", "PAIR_WEIGHT", "INDEX_BOUND"}
     searches = {"weight_of", "threshold_of", "bracket_terms", "labels"}
     assert defined & (moved | searches) == set()
-    assert HEIS.generators == {"a": 1} and VIR.vacuum_thresholds == {"L": -1}
+    assert HEIS.generators == {"a": 1}
 
 
 def test_presentation_tables_are_read_only():
@@ -431,6 +464,6 @@ def test_presentation_tables_are_read_only():
     table["M"] = 3
     assert copy.generators == {"L": 2}
     for presentation in (HEIS, VIR, copy):
-        for field in ("generators", "brackets", "vacuum_thresholds"):
+        for field in ("generators", "brackets"):
             with pytest.raises(TypeError):
                 getattr(presentation, field)["x"] = 0
